@@ -6,7 +6,7 @@ GO ?= go
 # under testdata/golden/, one <id>.json each.
 GOLDEN_DIR := testdata/golden
 
-.PHONY: all build test vet race fleet-test verify verify-long bench bench-hot bench-snapshot bench-check bench-checkpoint profile golden regress clean
+.PHONY: all build test vet perfbench-test race fleet-test verify verify-long bench bench-hot bench-snapshot bench-check bench-checkpoint profile golden regress clean
 
 all: build test vet
 
@@ -18,6 +18,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (perfbench/) is its own module, so the root
+# `go build ./...` never compiles it; it embeds sim.Machine, so API
+# changes there must be checked here.
+perfbench-test:
+	cd perfbench && export GOWORK=off GOFLAGS=-mod=readonly && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-bearing paths: scheduler and sweep machinery, the
 # replacement policies (whose eviction counters are process-global

@@ -11,8 +11,8 @@ import "rampage/internal/checkpoint"
 // stamps to zero: victim choice never consults them when assoc == 1,
 // and the fused DMHot fast path legitimately skips updating them, so
 // their live values depend on which execution path ran. Serializing
-// them would make checkpoint bytes differ between the batched and
-// per-reference paths even though the machines are behaviorally
+// them would make checkpoint bytes differ between the fused and
+// per-reference slow paths even though the machines are behaviorally
 // identical.
 func (c *Cache) EncodeState(e *checkpoint.Enc) {
 	e.Marker(checkpoint.MarkCache)

@@ -78,9 +78,9 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumePerRefAndVerify pins the restore path under the
-// per-reference scheduler loop and under the oracle invariant checker:
-// both the execution-path knob and -verify must hold on warm starts.
+// TestCheckpointResumePerRefAndVerify pins the restore path in
+// one-reference windows and under the oracle invariant checker: both
+// the window width and -verify must hold on warm starts.
 func TestCheckpointResumePerRefAndVerify(t *testing.T) {
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 1000, SizeBytes: 512, SwitchTrace: true}
 	cfg := ckptTestConfig()
@@ -91,22 +91,23 @@ func TestCheckpointResumePerRefAndVerify(t *testing.T) {
 	}
 	for _, mode := range []struct {
 		name   string
-		mutate func(*Config)
+		k      int
+		verify bool
 	}{
-		{"per-ref", func(c *Config) { c.DisableBatching = true }},
-		{"verify", func(c *Config) { c.Verify = true }},
-		{"per-ref-verify", func(c *Config) { c.DisableBatching = true; c.Verify = true }},
+		{"per-ref", 1, false},
+		{"verify", 0, true},
+		{"per-ref-verify", 1, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			warm := ckptTestConfig()
 			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
-			mode.mutate(&warm)
+			warm.Verify = mode.verify
 			warm.MaxRefs = 120_000
-			if _, err := Run(context.Background(), warm, spec); err != nil {
+			if _, err := runNarrow(context.Background(), warm, spec, mode.k); err != nil {
 				t.Fatalf("prefix run: %v", err)
 			}
 			warm.MaxRefs = 240_000
-			got, err := Run(context.Background(), warm, spec)
+			got, err := runNarrow(context.Background(), warm, spec, mode.k)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -284,7 +285,6 @@ func TestCheckpointPrefixKeyExcludesBudget(t *testing.T) {
 		t.Error("MaxRefs changed the prefix; extensions could never share warm-up")
 	}
 	knobs := cfg
-	knobs.DisableBatching = true
 	knobs.Verify = true
 	knobs.Workers = 3
 	if CheckpointPrefixKey(knobs, spec) != base {
@@ -351,8 +351,8 @@ func TestGoldenExperimentsCheckpointEquivalence(t *testing.T) {
 
 // TestCheckpointBytesExecutionPathInvariant pins a subtle codec
 // property: the captured state must not depend on HOW the prefix was
-// executed. The batched pipeline, the per-reference loop and a run
-// with an observer attached must all store byte-identical checkpoints,
+// executed. Wide windows, one-reference windows and a run with an
+// observer attached must all store byte-identical checkpoints,
 // or a warm start would silently tie results to the producer's
 // execution path.
 func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
@@ -361,12 +361,12 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	base.MaxRefs = 120_000
 	prefix := CheckpointPrefixKey(base, spec)
 
-	capture := func(name string, mutate func(*Config)) []byte {
+	capture := func(name string, k int, mutate func(*Config)) []byte {
 		t.Helper()
 		cfg := base
 		cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
 		mutate(&cfg)
-		if _, err := Run(context.Background(), cfg, spec); err != nil {
+		if _, err := runNarrow(context.Background(), cfg, spec, k); err != nil {
 			t.Fatalf("%s run: %v", name, err)
 		}
 		c, _, ok := cfg.Checkpoints.Nearest(prefix, 0)
@@ -376,9 +376,9 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 		return c.Payload
 	}
 
-	batched := capture("batched", func(c *Config) {})
-	perRef := capture("per-ref", func(c *Config) { c.DisableBatching = true })
-	observed := capture("observed", func(c *Config) { c.Observer = metrics.NewCollector(0) })
+	batched := capture("batched", 0, func(c *Config) {})
+	perRef := capture("per-ref", 1, func(c *Config) {})
+	observed := capture("observed", 0, func(c *Config) { c.Observer = metrics.NewCollector(0) })
 	if !bytes.Equal(batched, perRef) {
 		t.Error("per-reference execution produced different checkpoint bytes")
 	}

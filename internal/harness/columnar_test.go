@@ -11,10 +11,10 @@ import (
 // behavior-invisible end to end: for every experiment with a committed
 // golden, the JSON document produced by the default path — columnar
 // workload preload, zero-copy column windows into the machines' fused
-// batch loops — is byte-identical to the one produced with batching
-// disabled, where every reference flows through the per-reference
-// trace.Reader interface and Machine.Exec. The runs use a reduced
-// scale; the full-scale equivalent is the golden regression gate
+// batch loops — is byte-identical to the one reassembled from every
+// cell run on regenerated row streams in one-reference windows, the
+// paper's reference-at-a-time schedule. The runs use a reduced scale;
+// the full-scale equivalent is the golden regression gate
 // (`make regress`), whose goldens predate the columnar path.
 func TestGoldenExperimentsColumnarEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -25,17 +25,26 @@ func TestGoldenExperimentsColumnarEquivalence(t *testing.T) {
 	sizes := []uint64{256, 2048}
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
-			columnar := tinyConfig()
-			perRef := tinyConfig()
-			perRef.DisableBatching = true
-
-			colDoc, err := BuildExperimentDoc(context.Background(), columnar, id, rates, sizes)
+			cfg := tinyConfig()
+			colDoc, err := BuildExperimentDoc(context.Background(), cfg, id, rates, sizes)
 			if err != nil {
 				t.Fatalf("columnar run: %v", err)
 			}
-			refDoc, err := BuildExperimentDoc(context.Background(), perRef, id, rates, sizes)
+			sh, err := ShapeOf(id, rates, sizes)
 			if err != nil {
-				t.Fatalf("per-reference run: %v", err)
+				t.Fatal(err)
+			}
+			var cells []ReportJSON
+			for _, spec := range sh.CellSpecs() {
+				rep, err := runNarrow(context.Background(), cfg, spec, 1)
+				if err != nil {
+					t.Fatalf("one-reference run %+v: %v", spec, err)
+				}
+				cells = append(cells, NewReportJSON(rep))
+			}
+			refDoc, err := sh.Doc(cells)
+			if err != nil {
+				t.Fatal(err)
 			}
 			colJSON, err := json.Marshal(colDoc)
 			if err != nil {
@@ -46,7 +55,7 @@ func TestGoldenExperimentsColumnarEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(colJSON, refJSON) {
-				t.Errorf("columnar-fed report diverges from interface-fed report\ncolumnar: %s\nper-ref:  %s", colJSON, refJSON)
+				t.Errorf("columnar-fed report diverges from one-reference report\ncolumnar: %s\nper-ref:  %s", colJSON, refJSON)
 			}
 		})
 	}

@@ -56,14 +56,6 @@ type Config struct {
 	// Workers bounds Sweep's simulation parallelism (0 = one worker per
 	// CPU). Results are deterministic regardless of the setting.
 	Workers int
-	// DisableBatching forces the scheduler's per-reference execution
-	// loop instead of the batched pipeline. The two produce
-	// bit-identical reports; this is an equivalence-testing and
-	// debugging knob.
-	DisableBatching bool
-	// BatchSize overrides the scheduler's read-ahead window (0 = the
-	// scheduler default). Any positive value yields the same reports.
-	BatchSize uint64
 	// Observer, when non-nil, is attached to the machine and the
 	// scheduler for the run: it receives event probes and periodic Tick
 	// calls but never influences the simulation (reports stay

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"rampage/internal/oracle"
+	"rampage/internal/stats"
 )
 
 // equivSpecs covers every SystemKind plus the scheduler features that
@@ -19,28 +22,45 @@ var equivSpecs = []RunSpec{
 	{System: RAMpage, IssueMHz: 4000, SizeBytes: 512, AdaptivePages: true},
 }
 
-// runBothPaths executes one spec through the per-reference loop and
-// the batched loop and fails unless the reports are bit-identical.
-func runBothPaths(t *testing.T, cfg Config, spec RunSpec) {
+// runNarrow is Run with every workload stream read through
+// oracle.NarrowReader(·, k), so no scheduler window is wider than k
+// references: k = 1 is the paper's reference-at-a-time schedule, and
+// k = 0 leaves the streams as Run reads them.
+func runNarrow(ctx context.Context, cfg Config, spec RunSpec, k int) (*stats.Report, error) {
+	if k == 0 {
+		return Run(ctx, cfg, spec)
+	}
+	readers, err := cfg.Readers()
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range readers {
+		readers[i] = oracle.NarrowReader(r, k)
+	}
+	return runWithReaders(ctx, cfg, spec, readers)
+}
+
+// requireNarrowEquivalence runs one spec in the scheduler's default
+// wide windows and in windows of at most k references, and fails
+// unless the reports are bit-identical.
+func requireNarrowEquivalence(t *testing.T, cfg Config, spec RunSpec, k int) {
 	t.Helper()
-	cfg.DisableBatching = true
-	perRef, err := Run(context.Background(), cfg, spec)
+	wide, err := Run(context.Background(), cfg, spec)
 	if err != nil {
-		t.Fatalf("per-ref run: %v", err)
+		t.Fatalf("wide run: %v", err)
 	}
-	cfg.DisableBatching = false
-	batched, err := Run(context.Background(), cfg, spec)
+	narrow, err := runNarrow(context.Background(), cfg, spec, k)
 	if err != nil {
-		t.Fatalf("batched run: %v", err)
+		t.Fatalf("%d-wide run: %v", k, err)
 	}
-	if !reflect.DeepEqual(perRef, batched) {
-		t.Errorf("reports diverge (batch=%d):\nper-ref: %+v\nbatched: %+v", cfg.BatchSize, perRef, batched)
+	if !reflect.DeepEqual(wide, narrow) {
+		t.Errorf("reports diverge:\nwide:      %+v\n%d-wide: %+v", wide, k, narrow)
 	}
 }
 
-// TestBatchedPathEquivalence asserts the batched scheduler pipeline
-// produces bit-identical reports to the per-reference loop for all
-// four systems (plus the threads and adaptive extensions).
+// TestBatchedPathEquivalence asserts wide windows produce bit-identical
+// reports to one-reference windows for all four systems (plus the
+// threads and adaptive extensions).
 func TestBatchedPathEquivalence(t *testing.T) {
 	cfg := tinyConfig()
 	for _, spec := range equivSpecs {
@@ -54,36 +74,33 @@ func TestBatchedPathEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runBothPaths(t, cfg, spec)
+			requireNarrowEquivalence(t, cfg, spec, 1)
 		})
 	}
 }
 
-// TestBatchedPathEquivalenceBatchSizes sweeps the read-ahead window —
+// TestBatchedPathEquivalenceBatchSizes sweeps the window cap —
 // including a degenerate single-reference window and a window spanning
 // whole quanta — on the system with the most scheduler interaction.
 func TestBatchedPathEquivalenceBatchSizes(t *testing.T) {
 	cfg := tinyConfig()
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true}
-	for _, batch := range []uint64{1, 7, 64, cfg.Quantum} {
-		batch := batch
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+	for _, k := range []int{1, 7, 64, int(cfg.Quantum)} {
+		k := k
+		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
 			t.Parallel()
-			c := cfg
-			c.BatchSize = batch
-			runBothPaths(t, c, spec)
+			requireNarrowEquivalence(t, cfg, spec, k)
 		})
 	}
 }
 
 // TestBatchedPathEquivalenceMaxRefs checks that the MaxRefs cutoff
-// lands on the same reference in both paths, including when it falls
-// mid-window.
+// lands on the same reference in wide and narrow windows, including
+// when it falls mid-window.
 func TestBatchedPathEquivalenceMaxRefs(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxRefs = 12_345
-	cfg.BatchSize = 64
-	runBothPaths(t, cfg, RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true})
+	requireNarrowEquivalence(t, cfg, RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true}, 64)
 }
 
 // TestSweepPreloadEquivalence pins Sweep's materialized-workload
@@ -110,11 +127,11 @@ func TestSweepPreloadEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzBatchEquivalence fuzzes (seed, batch size, issue rate, page
+// FuzzBatchEquivalence fuzzes (seed, window cap, issue rate, page
 // size) through the switch-on-miss system, asserting bit-identical
-// reports between the two scheduler paths. The seed corpus pins the
-// ISSUE-mandated batch sizes {1, 7, 64, quantum}, so `go test` always
-// replays them even when no fuzz engine is attached.
+// reports between wide windows and windows of at most k references.
+// The seed corpus pins the caps {1, 7, 64, quantum}, so `go test`
+// always replays them even when no fuzz engine is attached.
 func FuzzBatchEquivalence(f *testing.F) {
 	quantum := QuickScaled().Quantum
 	f.Add(uint64(42), uint64(1), uint64(4000), uint64(512))
@@ -122,12 +139,11 @@ func FuzzBatchEquivalence(f *testing.F) {
 	f.Add(uint64(42), uint64(64), uint64(1000), uint64(128))
 	f.Add(uint64(42), quantum, uint64(4000), uint64(1024))
 	f.Add(uint64(7), uint64(13), uint64(2000), uint64(256))
-	f.Fuzz(func(t *testing.T, seed, batch, rateMHz, pageBytes uint64) {
+	f.Fuzz(func(t *testing.T, seed, k, rateMHz, pageBytes uint64) {
 		cfg := tinyConfig()
 		cfg.Seed = seed
 		cfg.Processes = 4
 		cfg.MaxRefs = 30_000
-		cfg.BatchSize = 1 + batch%uint64(2*quantum) // clamp to a sane window
 		rates := []uint64{200, 1000, 2000, 4000}
 		sizes := []uint64{128, 256, 512, 1024, 2048, 4096}
 		spec := RunSpec{
@@ -136,6 +152,6 @@ func FuzzBatchEquivalence(f *testing.F) {
 			SizeBytes:   sizes[pageBytes%uint64(len(sizes))],
 			SwitchTrace: true,
 		}
-		runBothPaths(t, cfg, spec)
+		requireNarrowEquivalence(t, cfg, spec, int(1+k%(2*quantum))) // clamp to a sane window
 	})
 }

@@ -193,7 +193,7 @@ func warmupRefs(cfg Config, pageBytes uint64) (uint64, uint64, error) {
 			// was consumed.
 			return n, frames, nil
 		}
-		if _, err := machine.Exec(ref); err != nil {
+		if _, _, err := machine.ExecBatch([]mem.Ref{ref}); err != nil {
 			return 0, 0, err
 		}
 		n++

@@ -277,8 +277,6 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 		LightweightThreads: spec.LightweightThreads,
 		Seed:               cfg.Seed,
 		MaxRefs:            cfg.MaxRefs,
-		DisableBatching:    cfg.DisableBatching,
-		BatchSize:          cfg.BatchSize,
 		Observer:           obs,
 	})
 	if err != nil {

@@ -132,13 +132,8 @@ func (b *Baseline) AdvanceTo(t mem.Cycles) {
 	}
 }
 
-// Exec implements sim.Machine. The baseline never blocks.
-func (b *Baseline) Exec(ref mem.Ref) (mem.Cycles, error) {
-	return 0, b.execOne(ref, sim.ClassBench)
-}
-
-// ExecBatch implements sim.Machine as a plain Exec loop: the reference
-// model has no fast path, which is the point.
+// ExecBatch implements sim.Machine as a plain per-reference loop: the
+// reference model has no fast path, which is the point.
 func (b *Baseline) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 	for i := range refs {
 		if err := b.execOne(refs[i], sim.ClassBench); err != nil {
@@ -146,6 +141,17 @@ func (b *Baseline) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 		}
 	}
 	return len(refs), 0, nil
+}
+
+// ExecBatchColumnar implements sim.Machine, the same plain loop over
+// columns.
+func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+	for i := range kinds {
+		if err := b.execOne(mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}, sim.ClassBench); err != nil {
+			return i, 0, err
+		}
+	}
+	return len(kinds), 0, nil
 }
 
 // ExecTrace implements sim.Machine.

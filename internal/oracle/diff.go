@@ -101,65 +101,24 @@ const maxRetries = 8
 
 // Lockstep replays refs through the oracle and the subject one
 // reference at a time, comparing errors, blocking times and the full
-// report after every reference. It returns the first divergence, or nil
-// when the machines agree over the whole trace.
+// report after every reference: LockstepBatch with one-reference
+// windows. It returns the first divergence, or nil when the machines
+// agree over the whole trace.
 func Lockstep(oracle, subject sim.Machine, refs []mem.Ref) *Divergence {
-	div := func(i int, where, oval, sval string) *Divergence {
-		return &Divergence{
-			Index: i, Ref: refs[i], Where: where,
-			OracleVal: oval, SubjectVal: sval,
-			OracleReport:  *oracle.Report(),
-			SubjectReport: *subject.Report(),
-			Context:       summarize(oracle),
-		}
-	}
-	for i, ref := range refs {
-		for retry := 0; ; retry++ {
-			if retry > maxRetries {
-				return div(i, "retry-loop", "reference never completed", "reference never completed")
-			}
-			ob, oerr := oracle.Exec(ref)
-			sb, serr := subject.Exec(ref)
-			if (oerr != nil) != (serr != nil) {
-				return div(i, "error", fmt.Sprint(oerr), fmt.Sprint(serr))
-			}
-			if oerr != nil {
-				return nil // both rejected the reference: agreement
-			}
-			if ob != sb {
-				return div(i, "blockUntil", fmt.Sprint(ob), fmt.Sprint(sb))
-			}
-			if f, ov, sv := compareReports(oracle.Report(), subject.Report()); f != "" {
-				d := div(i, "report", ov, sv)
-				d.Field = f
-				return d
-			}
-			if ob == 0 {
-				break
-			}
-			// Both blocked until the same cycle: wait and retry the same
-			// reference, exactly as the scheduler would with one process.
-			oracle.AdvanceTo(ob)
-			subject.AdvanceTo(sb)
-		}
-	}
-	if f, ov, sv := compareReports(oracle.Report(), subject.Report()); f != "" {
-		return &Divergence{
-			Index: -1, Where: "report", Field: f,
-			OracleVal: ov, SubjectVal: sv,
-			OracleReport:  *oracle.Report(),
-			SubjectReport: *subject.Report(),
-			Context:       summarize(oracle),
-		}
-	}
-	return nil
+	return LockstepBatch(oracle, subject, refs, 1)
+}
+
+// step runs refs[i] on m as a one-reference window.
+func step(m sim.Machine, refs []mem.Ref, i int) (mem.Cycles, error) {
+	_, block, err := m.ExecBatch(refs[i : i+1])
+	return block, err
 }
 
 // LockstepBatch replays refs through the subject's ExecBatch path in
-// windows of batchSize references, driving the oracle per-reference
-// over each consumed prefix, and compares the reports at every window
-// boundary. It exercises the batched fast paths the per-reference
-// Lockstep never reaches.
+// windows of batchSize references, driving the oracle one reference at
+// a time over each consumed prefix, and compares the reports at every
+// window boundary. A divergence's Index is the start of the window in
+// which it surfaced, so one-reference windows pin the exact reference.
 func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *Divergence {
 	if batchSize < 1 {
 		batchSize = 64
@@ -172,7 +131,7 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 			SubjectReport: *subject.Report(),
 			Context:       summarize(oracle),
 		}
-		if i >= 0 && i < len(refs) {
+		if i < len(refs) {
 			d.Ref = refs[i]
 		}
 		return d
@@ -180,21 +139,17 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 	pos := 0
 	retries := 0
 	for pos < len(refs) {
-		end := pos + batchSize
-		if end > len(refs) {
-			end = len(refs)
-		}
-		consumed, sb, serr := subject.ExecBatch(refs[pos:end])
-		// The oracle executes the consumed prefix per reference; each of
-		// those completed in the subject, so the oracle must complete
-		// them too.
-		for j := 0; j < consumed; j++ {
-			ob, oerr := oracle.Exec(refs[pos+j])
+		start := pos
+		consumed, sb, serr := subject.ExecBatch(refs[pos:min(pos+batchSize, len(refs))])
+		// Each reference of the consumed prefix completed in the
+		// subject, so the oracle must complete it too.
+		for j := pos; j < pos+consumed; j++ {
+			ob, oerr := step(oracle, refs, j)
 			if oerr != nil {
-				return div(pos+j, "error", fmt.Sprint(oerr), "<executed>")
+				return div(j, "error", fmt.Sprint(oerr), "<executed>")
 			}
 			if ob != 0 {
-				return div(pos+j, "blockUntil", fmt.Sprint(ob), "0 (executed in batch)")
+				return div(j, "blockUntil", fmt.Sprint(ob), "0 (executed)")
 			}
 		}
 		pos += consumed
@@ -204,16 +159,16 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 		if serr != nil {
 			// The subject rejected refs[pos]; the oracle must reject it
 			// too.
-			_, oerr := oracle.Exec(refs[pos])
-			if oerr == nil {
+			if _, oerr := step(oracle, refs, pos); oerr == nil {
 				return div(pos, "error", "<executed>", fmt.Sprint(serr))
 			}
 			return nil // both rejected the reference: agreement
 		}
 		if sb != 0 {
 			// The subject blocked at refs[pos]: the oracle must block at
-			// the same cycle. Then both wait and the window retries.
-			ob, oerr := oracle.Exec(refs[pos])
+			// the same cycle. Then both wait and the window retries,
+			// exactly as the scheduler would with one process.
+			ob, oerr := step(oracle, refs, pos)
 			if oerr != nil {
 				return div(pos, "error", fmt.Sprint(oerr), "<blocked>")
 			}
@@ -228,43 +183,53 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 			}
 		}
 		if f, ov, sv := compareReports(oracle.Report(), subject.Report()); f != "" {
-			d := div(pos, "report", ov, sv)
+			d := div(start, "report", ov, sv)
 			d.Field = f
 			return d
 		}
 	}
-	if f, ov, sv := compareReports(oracle.Report(), subject.Report()); f != "" {
-		d := div(-1, "report", ov, sv)
-		d.Field = f
-		return d
-	}
 	return nil
+}
+
+// NarrowReader returns a Reader whose ReadBatch delivers at most k
+// references per call and which hides any columnar backing, so a
+// scheduler reading it runs row windows of at most k references. With
+// k = 1 that is the reference-at-a-time schedule of the paper's
+// simulator, which every wider window must reproduce bit for bit.
+func NarrowReader(r trace.Reader, k int) trace.Reader { return &narrowReader{r: r, k: k} }
+
+type narrowReader struct {
+	r trace.Reader
+	k int
+}
+
+func (n *narrowReader) Next() (mem.Ref, error) { return n.r.Next() }
+
+func (n *narrowReader) ReadBatch(dst []mem.Ref) (int, error) {
+	return trace.ReadBatch(n.r, dst[:min(len(dst), n.k)])
 }
 
 // DiffRun drives the oracle and the subject through two identically
 // configured schedulers over the same multiprogrammed workload —
 // context-switch traces, quantum boundaries, switch-on-miss blocking
-// and all — and compares the final reports. refs is replayed per
-// process (each stream re-read from the slice), so both machines see
-// exactly the same interleaving. The subject runs the batched scheduler
-// path when batched is true, the per-reference path otherwise; the
-// oracle always runs per-reference.
-func DiffRun(oracle, subject sim.Machine, streams [][]mem.Ref, cfg sim.SchedulerConfig, batched bool) (*Divergence, error) {
-	run := func(m sim.Machine, disableBatching bool) (*stats.Report, error) {
+// and all — and compares the final reports. The oracle reads every
+// stream through NarrowReader(·, 1), the reference-at-a-time schedule;
+// the subject reads each stream through subjectReader and runs
+// whatever windows that source gives it.
+func DiffRun(oracle, subject sim.Machine, streams [][]mem.Ref, cfg sim.SchedulerConfig, subjectReader func([]mem.Ref) trace.Reader) (*Divergence, error) {
+	run := func(m sim.Machine, reader func([]mem.Ref) trace.Reader) (*stats.Report, error) {
 		readers := make([]trace.Reader, len(streams))
 		for i, s := range streams {
-			readers[i] = trace.NewSliceReader(s)
+			readers[i] = reader(s)
 		}
-		c := cfg
-		c.DisableBatching = disableBatching
-		sched, err := sim.NewScheduler(m, readers, c)
+		sched, err := sim.NewScheduler(m, readers, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return sched.Run(context.Background())
 	}
-	orep, oerr := run(oracle, true)
-	srep, serr := run(subject, !batched)
+	orep, oerr := run(oracle, func(s []mem.Ref) trace.Reader { return NarrowReader(trace.NewSliceReader(s), 1) })
+	srep, serr := run(subject, subjectReader)
 	if (oerr != nil) != (serr != nil) {
 		return &Divergence{
 			Index: -1, Where: "error",

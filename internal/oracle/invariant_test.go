@@ -75,10 +75,8 @@ func TestCheckInvariantsDirect(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Errorf("fresh baseline: %v", err)
 	}
-	for _, ref := range wlSweep(1, 5_000) {
-		if _, err := b.Exec(ref); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := b.ExecBatch(wlSweep(1, 5_000)); err != nil {
+		t.Fatal(err)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Errorf("exercised baseline: %v", err)
@@ -90,10 +88,8 @@ func TestCheckInvariantsDirect(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Errorf("fresh rampage: %v", err)
 	}
-	for _, ref := range wlSweep(1, 5_000) {
-		if _, err := r.Exec(ref); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := r.ExecBatch(wlSweep(1, 5_000)); err != nil {
+		t.Fatal(err)
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Errorf("exercised rampage: %v", err)
@@ -108,7 +104,9 @@ type stubMachine struct {
 	deepErr error
 }
 
-func (s *stubMachine) Exec(mem.Ref) (mem.Cycles, error)               { return 0, nil }
+func (s *stubMachine) ExecBatchColumnar(_ mem.PID, k []mem.RefKind, _ []mem.VAddr) (int, mem.Cycles, error) {
+	return len(k), 0, nil
+}
 func (s *stubMachine) ExecBatch(r []mem.Ref) (int, mem.Cycles, error) { return len(r), 0, nil }
 func (s *stubMachine) ExecTrace([]mem.Ref, sim.RefClass) error        { return nil }
 func (s *stubMachine) Now() mem.Cycles                                { return s.rep.Cycles }

@@ -20,9 +20,11 @@
 // On top of the models sit two checking tools:
 //
 //   - diff.go replays the same seeded trace through an oracle machine
-//     and a production machine in lockstep (per-reference or batched)
-//     and reports the first divergent reference with full state
-//     context;
+//     and a production machine in lockstep (one-reference or wider
+//     windows) and reports the first divergent reference with full
+//     state context; DiffRun does the same through the scheduler,
+//     with the oracle reading NarrowReader streams one reference per
+//     window;
 //   - invariant.go is a metrics.Observer asserting machine-level
 //     invariants online (cycle monotonicity and attribution, L1⊆L2 /
 //     SRAM residency, TLB↔page-table coherence, clock-hand bounds,

@@ -8,6 +8,7 @@ import (
 	"rampage/internal/cache"
 	"rampage/internal/mem"
 	"rampage/internal/sim"
+	"rampage/internal/trace"
 )
 
 // -long runs the multi-million-reference differential sweeps (the
@@ -245,8 +246,11 @@ func TestLockstepIssueRates(t *testing.T) {
 
 // TestDiffRunScheduled runs the full scheduler — quantum rotation,
 // context-switch traces, switch-on-miss blocking — over a
-// multiprogrammed workload on both machines, per-reference and batched,
-// and requires identical final reports.
+// multiprogrammed workload on both machines and requires identical
+// final reports. The oracle always runs one-reference windows; the
+// subject runs them too ("per-ref"), then wide row windows from
+// SliceReaders ("batched") and wide column windows from captured
+// columns ("columnar").
 func TestDiffRunScheduled(t *testing.T) {
 	n := refCount()
 	streams := [][]mem.Ref{
@@ -260,14 +264,29 @@ func TestDiffRunScheduled(t *testing.T) {
 		Seed:              42,
 	}
 	for _, sys := range systems() {
-		for _, batched := range []bool{false, true} {
-			mode := "per-ref"
-			if batched {
-				mode = "batched"
-			}
-			t.Run(sys.name+"/"+mode, func(t *testing.T) {
+		for _, mode := range []struct {
+			name   string
+			reader func(t *testing.T) func([]mem.Ref) trace.Reader
+		}{
+			{"per-ref", func(*testing.T) func([]mem.Ref) trace.Reader {
+				return func(s []mem.Ref) trace.Reader { return NarrowReader(trace.NewSliceReader(s), 1) }
+			}},
+			{"batched", func(*testing.T) func([]mem.Ref) trace.Reader {
+				return func(s []mem.Ref) trace.Reader { return trace.NewSliceReader(s) }
+			}},
+			{"columnar", func(t *testing.T) func([]mem.Ref) trace.Reader {
+				return func(s []mem.Ref) trace.Reader {
+					buf, err := trace.CaptureColumnar(trace.NewSliceReader(s), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return trace.NewColumnarReader(buf)
+				}
+			}},
+		} {
+			t.Run(sys.name+"/"+mode.name, func(t *testing.T) {
 				orc, subj := sys.build(t, 1000, 42)
-				div, err := DiffRun(orc, subj, streams, cfg, batched)
+				div, err := DiffRun(orc, subj, streams, cfg, mode.reader(t))
 				if err != nil {
 					t.Fatalf("diff run: %v", err)
 				}

@@ -304,15 +304,11 @@ func (r *RAMpage) AdvanceTo(t mem.Cycles) {
 	}
 }
 
-// Exec implements sim.Machine. In switch-on-miss mode a page fault
-// returns the absolute cycle at which the page arrives; the reference
-// did not execute and must be retried after that time.
-func (r *RAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
-	return r.execOne(ref, sim.ClassBench)
-}
-
-// ExecBatch implements sim.Machine as a plain Exec loop: the reference
-// model has no fast path, which is the point.
+// ExecBatch implements sim.Machine as a plain per-reference loop: the
+// reference model has no fast path, which is the point. In
+// switch-on-miss mode a page fault stops the batch at the faulting
+// reference, which did not execute and must be retried after the
+// returned arrival time.
 func (r *RAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 	for i := range refs {
 		block, err := r.execOne(refs[i], sim.ClassBench)
@@ -324,6 +320,21 @@ func (r *RAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 		}
 	}
 	return len(refs), 0, nil
+}
+
+// ExecBatchColumnar implements sim.Machine, the same plain loop over
+// columns.
+func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+	for i := range kinds {
+		block, err := r.execOne(mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}, sim.ClassBench)
+		if err != nil {
+			return i, 0, err
+		}
+		if block != 0 {
+			return i, block, nil
+		}
+	}
+	return len(kinds), 0, nil
 }
 
 // ExecTrace implements sim.Machine. Operating-system references are

@@ -153,63 +153,17 @@ func NewAdaptiveRAMpage(cfg AdaptiveConfig) (*AdaptiveRAMpage, error) {
 	return &AdaptiveRAMpage{RAMpage: inner, cfg: cfg, holdCur: cfg.HoldEpochs}, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Exec implements Machine, interposing the epoch controller.
-func (a *AdaptiveRAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
-	block, err := a.RAMpage.Exec(ref)
-	if err != nil {
-		return block, err
-	}
-	if a.rep.BenchRefs-a.epochStart >= a.cfg.EpochRefs {
-		if err := a.evaluate(); err != nil {
-			return 0, err
-		}
-	}
-	return block, nil
-}
-
-// ExecBatch implements Machine, overriding the embedded RAMpage fast
-// path so the epoch controller still runs. Each sub-batch is capped at
-// the epoch boundary (BenchRefs advances by exactly one per executed
-// application reference), so evaluate fires at precisely the reference
-// it would under per-reference Exec calls.
+// ExecBatch implements Machine through the row adapter, which feeds
+// this machine's own ExecBatchColumnar so the epoch controller runs.
 func (a *AdaptiveRAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	consumed := 0
-	for consumed < len(refs) {
-		left := uint64(len(refs) - consumed)
-		if done := a.rep.BenchRefs - a.epochStart; done < a.cfg.EpochRefs {
-			if until := a.cfg.EpochRefs - done; until < left {
-				left = until
-			}
-		} else {
-			left = 1
-		}
-		n, block, err := a.RAMpage.ExecBatch(refs[consumed : consumed+int(left)])
-		consumed += n
-		if err != nil {
-			return consumed, 0, err
-		}
-		if a.rep.BenchRefs-a.epochStart >= a.cfg.EpochRefs {
-			if err := a.evaluate(); err != nil {
-				return consumed, 0, err
-			}
-		}
-		if block != 0 {
-			return consumed, block, nil
-		}
-	}
-	return consumed, 0, nil
+	return execRows(a, &a.rows, refs)
 }
 
-// ExecBatchColumnar implements ColumnarMachine with the same epoch
-// chunking as ExecBatch; without this override the promoted RAMpage
-// method would run whole windows past epoch boundaries.
+// ExecBatchColumnar implements Machine, overriding the embedded
+// RAMpage method so the epoch controller still runs. Each sub-batch is
+// capped at the epoch boundary (BenchRefs advances by exactly one per
+// executed application reference), so evaluate fires at precisely the
+// reference it would in one-reference windows.
 func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	consumed := 0
 	for consumed < len(kinds) {
@@ -274,13 +228,13 @@ func (a *AdaptiveRAMpage) evaluate() error {
 			// full SRAM flush).
 			dir := a.lastMove
 			a.lastMove = 0
-			a.holdCur = minInt(a.holdCur*2, 64)
+			a.holdCur = min(a.holdCur*2, 64)
 			a.hold = a.holdCur
 			return a.move(-dir)
 		default:
 			// Plateau: stay here and back off.
 			a.lastMove = 0
-			a.holdCur = minInt(a.holdCur*2, 64)
+			a.holdCur = min(a.holdCur*2, 64)
 			a.hold = a.holdCur
 			a.prevCost = cost
 			return nil

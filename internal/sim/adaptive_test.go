@@ -12,7 +12,7 @@ func TestResizeRebuildsMemory(t *testing.T) {
 	r := testRAMpage(t, 1000, 1024, false)
 	// Dirty some pages and warm L1.
 	for i := 0; i < 64; i++ {
-		if _, err := r.Exec(uref(1, mem.Store, uint64(0x100000+i*1024))); err != nil {
+		if _, err := exec1(r, uref(1, mem.Store, uint64(0x100000+i*1024))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func TestResizeRebuildsMemory(t *testing.T) {
 	// The machine still runs, now with 4KB pages: a fresh access
 	// refaults.
 	faults := rep.PageFaults
-	if _, err := r.Exec(uref(1, mem.Load, 0x100000)); err != nil {
+	if _, err := exec1(r, uref(1, mem.Load, 0x100000)); err != nil {
 		t.Fatal(err)
 	}
 	if rep.PageFaults != faults+1 {
@@ -47,7 +47,7 @@ func TestResizeRebuildsMemory(t *testing.T) {
 
 func TestResizeRefusesInFlight(t *testing.T) {
 	r := testRAMpage(t, 1000, 1024, true)
-	block, err := r.Exec(uref(1, mem.Load, 0x100000))
+	block, err := exec1(r, uref(1, mem.Load, 0x100000))
 	if err != nil {
 		t.Fatal(err)
 	}

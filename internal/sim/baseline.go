@@ -61,6 +61,7 @@ type Baseline struct {
 	// Fused fast-path views (fastpath.go), captured at construction.
 	fast    fastL1
 	fastTLB tlb.Hot
+	rows    rowScratch
 }
 
 // NewBaseline builds the machine.
@@ -183,35 +184,10 @@ func (b *Baseline) TLBStats() tlb.Stats { return b.tlb.Stats() }
 // L2Stats exposes the L2 cache counters.
 func (b *Baseline) L2Stats() cache.Stats { return b.l2.Stats() }
 
-// Exec implements Machine. The baseline never blocks.
-func (b *Baseline) Exec(ref mem.Ref) (mem.Cycles, error) {
-	return 0, b.execOne(ref, ClassBench)
-}
-
-// ExecBatch implements Machine. The common case — a user reference
-// whose translation is in the TLB — runs without interface calls or
-// the TLB-miss machinery; everything else falls back to the per-
-// reference path. The baseline never blocks, so consumed is always
-// len(refs) unless an error occurs.
+// ExecBatch implements Machine through the row adapter. The baseline
+// never blocks, so consumed is always len(refs) unless an error occurs.
 func (b *Baseline) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	if b.obs == nil && b.fast.ok {
-		return b.execBatchFast(refs)
-	}
-	for i := range refs {
-		ref := refs[i]
-		if ref.PID != mem.KernelPID {
-			if pa, hit := b.tlb.TryLookup(ref.PID, ref.Addr); hit {
-				b.rep.TLBHits++
-				b.rep.BenchRefs++
-				b.accessL1(ref.Kind, pa)
-				continue
-			}
-		}
-		if err := b.execOne(ref, ClassBench); err != nil {
-			return i, 0, err
-		}
-	}
-	return len(refs), 0, nil
+	return execRows(b, &b.rows, refs)
 }
 
 // ExecTrace implements Machine.
@@ -312,8 +288,8 @@ func (b *Baseline) translate(ref mem.Ref) (mem.PAddr, error) {
 
 // accessL1 runs the reference through the split L1 and, on a miss,
 // the L2 and DRAM levels, charging time per §4.3–4.4. The hit check is
-// the cache's split fast path so the batched executor's common case
-// stays a tight loop.
+// the cache's split fast path so the slow loop's common case stays
+// tight.
 func (b *Baseline) accessL1(kind mem.RefKind, pa mem.PAddr) {
 	side := b.l1.side(kind)
 	if kind == mem.IFetch {

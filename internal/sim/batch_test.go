@@ -53,54 +53,40 @@ func batchWorkload(n int) []mem.Ref {
 	return refs
 }
 
-// TestExecBatchMatchesExec runs the same reference stream through Exec
-// one at a time and through ExecBatch, and requires bit-identical
-// reports (the scheduler-level equivalence tests in internal/harness
-// cover the blocking switch-on-miss path).
+// TestExecBatchMatchesExec runs the same reference stream through
+// one-reference ExecBatch windows (the paper's reference-at-a-time
+// model), 129-wide ExecBatch windows and 129-wide ExecBatchColumnar
+// windows, and requires bit-identical reports (the scheduler-level
+// equivalence tests in internal/harness cover the blocking
+// switch-on-miss path).
 func TestExecBatchMatchesExec(t *testing.T) {
 	refs := batchWorkload(4096)
-	t.Run("baseline", func(t *testing.T) {
-		one, batch := newBatchBaseline(t), newBatchBaseline(t)
+	pid, kinds, addrs := colsOf(t, refs)
+	run := func(t *testing.T, one, rows, cols Machine) {
+		t.Helper()
 		for _, ref := range refs {
-			if _, err := one.Exec(ref); err != nil {
+			if _, err := exec1(one, ref); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for off := 0; off < len(refs); off += 129 { // deliberately unaligned windows
-			end := off + 129
-			if end > len(refs) {
-				end = len(refs)
-			}
-			n, block, err := batch.ExecBatch(refs[off:end])
-			if err != nil || block != 0 || n != end-off {
+			end := min(off+129, len(refs))
+			if n, block, err := rows.ExecBatch(refs[off:end]); err != nil || block != 0 || n != end-off {
 				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
 			}
-		}
-		if !reflect.DeepEqual(one.Report(), batch.Report()) {
-			t.Errorf("reports diverge:\nexec:  %+v\nbatch: %+v", one.Report(), batch.Report())
-		}
-	})
-	t.Run("rampage", func(t *testing.T) {
-		one, batch := newBatchRAMpage(t), newBatchRAMpage(t)
-		for _, ref := range refs {
-			if _, err := one.Exec(ref); err != nil {
-				t.Fatal(err)
+			if n, block, err := cols.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
-		for off := 0; off < len(refs); off += 129 {
-			end := off + 129
-			if end > len(refs) {
-				end = len(refs)
-			}
-			n, block, err := batch.ExecBatch(refs[off:end])
-			if err != nil || block != 0 || n != end-off {
-				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
-			}
+		if !reflect.DeepEqual(one.Report(), rows.Report()) {
+			t.Errorf("reports diverge:\n1-wide:   %+v\n129-wide: %+v", one.Report(), rows.Report())
 		}
-		if !reflect.DeepEqual(one.Report(), batch.Report()) {
-			t.Errorf("reports diverge:\nexec:  %+v\nbatch: %+v", one.Report(), batch.Report())
+		if !reflect.DeepEqual(one.Report(), cols.Report()) {
+			t.Errorf("reports diverge:\n1-wide:  %+v\ncolumns: %+v", one.Report(), cols.Report())
 		}
-	})
+	}
+	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t), newBatchBaseline(t), newBatchBaseline(t)) })
+	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t), newBatchRAMpage(t), newBatchRAMpage(t)) })
 }
 
 // TestExecBatchZeroAllocSteadyState pins the hot path: once the TLB
@@ -143,29 +129,38 @@ func colsOf(t *testing.T, refs []mem.Ref) (mem.PID, []mem.RefKind, []mem.VAddr) 
 	return refs[0].PID, kinds, addrs
 }
 
-// TestExecBatchColumnarMatchesExecBatch requires the columnar entry
-// point to produce a bit-identical report to row ExecBatch over the
-// same stream, including across deliberately unaligned windows.
+// TestExecBatchColumnarMatchesExecBatch pins the row adapter's
+// splitting: row windows wider than its column scratch, mixing several
+// user PIDs and kernel references, must report bit-identically to the
+// same stream fed to ExecBatchColumnar one same-PID run at a time.
 func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
 	refs := batchWorkload(4096)
-	pid, kinds, addrs := colsOf(t, refs)
+	for i := range refs {
+		switch {
+		case i%1000 >= 900:
+			refs[i] = kref(refs[i].Kind, uint64(i%64)*8)
+		case i%700 >= 350:
+			refs[i].PID = 2
+		}
+	}
 	run := func(t *testing.T, rows, cols Machine) {
 		t.Helper()
-		cm, ok := cols.(ColumnarMachine)
-		if !ok {
-			t.Fatal("machine does not implement ColumnarMachine")
-		}
-		for off := 0; off < len(refs); off += 129 { // deliberately unaligned windows
-			end := off + 129
-			if end > len(refs) {
-				end = len(refs)
-			}
+		for off := 0; off < len(refs); off += 1000 {
+			end := min(off+1000, len(refs))
 			if n, block, err := rows.ExecBatch(refs[off:end]); err != nil || block != 0 || n != end-off {
 				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
 			}
-			if n, block, err := cm.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+		}
+		for off := 0; off < len(refs); {
+			end := off + 1
+			for end < len(refs) && refs[end].PID == refs[off].PID {
+				end++
+			}
+			pid, kinds, addrs := colsOf(t, refs[off:end])
+			if n, block, err := cols.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != end-off {
 				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
+			off = end
 		}
 		if !reflect.DeepEqual(rows.Report(), cols.Report()) {
 			t.Errorf("reports diverge:\nrows: %+v\ncols: %+v", rows.Report(), cols.Report())
@@ -182,14 +177,13 @@ func TestExecBatchColumnarZeroAllocSteadyState(t *testing.T) {
 	pid, kinds, addrs := colsOf(t, refs)
 	run := func(t *testing.T, m Machine) {
 		t.Helper()
-		cm := m.(ColumnarMachine)
 		for i := 0; i < 4; i++ {
-			if n, block, err := cm.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
 				t.Fatalf("warm-up ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := cm.ExecBatchColumnar(pid, kinds, addrs); err != nil {
+			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -57,11 +57,11 @@ func RestoreState(m Machine, s *Scheduler, payload []byte) error {
 
 // EncodeState serializes the scheduler: the cumulative reference count,
 // the switch-trace kernel RNG, per-process scheduling state and stream
-// cursors, and the ready queue in FIFO order. Pending fault retries and
-// read-ahead buffers are NOT serialized: the cursor counts only
-// executed references, so a repositioned stream regenerates any
-// unexecuted reference (pending retry or buffered read-ahead) on the
-// first fetch after resume.
+// cursors, and the ready queue in FIFO order. Read-ahead buffers are
+// NOT serialized: the cursor counts only executed references, so a
+// repositioned stream regenerates any unexecuted reference (a blocked
+// reference awaiting retry or buffered read-ahead) on the first fetch
+// after resume.
 func (s *Scheduler) EncodeState(e *checkpoint.Enc) {
 	e.Marker(checkpoint.MarkScheduler)
 	e.U64(s.executed)
@@ -108,7 +108,6 @@ func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 		p.readyAt = mem.Cycles(d.U64())
 		p.sliceLeft = d.U64()
 		p.done = d.U64()
-		p.hasPend = false
 		p.bufPos, p.bufN, p.rdErr = 0, 0, nil
 	}
 	qn := d.U32()

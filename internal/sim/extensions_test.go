@@ -69,7 +69,7 @@ func TestRAMpagePipelinedBackToBackFaultCheaper(t *testing.T) {
 		// Dirty every page, then thrash so every fault writes back.
 		for lap := 0; lap < 3; lap++ {
 			for i := 0; i < 40; i++ {
-				if _, err := r.Exec(uref(1, mem.Store, uint64(0x100000+i*4096))); err != nil {
+				if _, err := exec1(r, uref(1, mem.Store, uint64(0x100000+i*4096))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,7 +96,7 @@ func TestAggressiveL1ReducesL1Misses(t *testing.T) {
 		// A data working set beyond 16KB but within 64KB.
 		for lap := 0; lap < 8; lap++ {
 			for i := 0; i < 1500; i++ {
-				if _, err := r.Exec(uref(1, mem.Load, uint64(0x100000+i*32))); err != nil {
+				if _, err := exec1(r, uref(1, mem.Load, uint64(0x100000+i*32))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -123,7 +123,7 @@ func TestBigTLBReducesHandlerOverhead(t *testing.T) {
 		// Touch 512KB repeatedly: 512 pages vs 64- or 1024-entry TLB.
 		for lap := 0; lap < 4; lap++ {
 			for i := 0; i < 4000; i++ {
-				if _, err := r.Exec(uref(1, mem.Load, uint64(0x100000+i*128))); err != nil {
+				if _, err := exec1(r, uref(1, mem.Load, uint64(0x100000+i*128))); err != nil {
 					t.Fatal(err)
 				}
 			}

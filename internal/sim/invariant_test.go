@@ -30,7 +30,7 @@ func invariantBaseline(t *testing.T) *Baseline {
 	// Touch enough state that the structures are non-trivially populated.
 	for i := 0; i < 2_000; i++ {
 		ref := mem.Ref{PID: 1, Kind: mem.Store, Addr: mem.VAddr(0x1000_0000 + i*96)}
-		if _, err := b.Exec(ref); err != nil {
+		if _, err := exec1(b, ref); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func invariantRAMpage(t *testing.T) *RAMpage {
 	}
 	for i := 0; i < 2_000; i++ {
 		ref := mem.Ref{PID: 1, Kind: mem.Store, Addr: mem.VAddr(0x1000_0000 + i*96)}
-		if _, err := r.Exec(ref); err != nil {
+		if _, err := exec1(r, ref); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,20 +13,13 @@ import (
 // drives a Machine with application references and operating-system
 // traces.
 type Machine interface {
-	// Exec runs one application reference. A zero return means the
-	// reference completed. A non-zero return (only from a RAMpage
-	// machine in switch-on-miss mode) is the absolute cycle at which
-	// the reference's page arrives from DRAM: the process must block
-	// and the SAME reference must be re-executed after that time.
-	Exec(ref mem.Ref) (blockUntil mem.Cycles, err error)
-	// ExecBatch runs application references in order, stopping at the
-	// first that blocks or errors. consumed is the number of references
-	// that completed. When consumed < len(refs) with a nil error and a
-	// non-zero blockUntil, refs[consumed] faulted with its page arriving
-	// at blockUntil: that reference did NOT execute and must be retried
-	// after that time, exactly as with Exec. Machines accelerate the
-	// common TLB-hit/L1-hit case with an inlined fast path; the executed
-	// reference semantics are bit-identical to repeated Exec calls.
+	// ColumnarMachine is the one fused execution path; the scheduler
+	// feeds it every columnar stream.
+	ColumnarMachine
+	// ExecBatch is ExecBatchColumnar over rows, with the same
+	// consumed/block/error contract: the machines split refs into
+	// same-PID runs and execute each through their own
+	// ExecBatchColumnar. The scheduler feeds it every row stream.
 	ExecBatch(refs []mem.Ref) (consumed int, blockUntil mem.Cycles, err error)
 	// ExecTrace runs an operating-system reference sequence (handler
 	// or context-switch code), accounting it under the given class.
@@ -46,15 +39,49 @@ type Machine interface {
 	SetObserver(obs metrics.Observer)
 }
 
-// ColumnarMachine is implemented by machines that can execute a batch
-// straight from a columnar stream window: one PID for the whole window
-// plus parallel kind and address columns. Semantics are exactly those
-// of ExecBatch over the equivalent []mem.Ref — same consumed/block/
-// error contract, bit-identical reports — minus the row
-// materialization. The scheduler uses it whenever a process's stream
-// is columnar.
+// ColumnarMachine executes application references from a columnar
+// window: one PID for the whole window plus parallel kind and address
+// columns. It runs them in order, stopping at the first that blocks or
+// errors; consumed is the number that completed. When consumed <
+// len(kinds) with a nil error and a non-zero blockUntil, reference
+// consumed faulted with its page arriving at blockUntil (only a
+// RAMpage machine in switch-on-miss mode blocks): it did NOT execute
+// and must be retried after that time. A window of one reference is
+// exactly the paper's reference-at-a-time model; wider windows give
+// bit-identical reports.
 type ColumnarMachine interface {
 	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (consumed int, blockUntil mem.Cycles, err error)
+}
+
+// rowWindow is the widest row window: the scheduler's per-process
+// read-ahead and the row ExecBatch adapter's column scratch.
+const rowWindow = 512
+
+// rowScratch is the machine-owned column scratch of the row ExecBatch
+// adapter.
+type rowScratch struct {
+	kinds [rowWindow]mem.RefKind
+	addrs [rowWindow]mem.VAddr
+}
+
+// execRows is the row ExecBatch adapter every machine shares: it copies
+// each same-PID run of refs, at most rowWindow references at a time,
+// into sc and executes it with m's ExecBatchColumnar.
+func execRows(m ColumnarMachine, sc *rowScratch, refs []mem.Ref) (int, mem.Cycles, error) {
+	done := 0
+	for done < len(refs) {
+		pid := refs[done].PID
+		n := 0
+		for end := min(len(refs), done+rowWindow); done+n < end && refs[done+n].PID == pid; n++ {
+			sc.kinds[n], sc.addrs[n] = refs[done+n].Kind, refs[done+n].Addr
+		}
+		consumed, block, err := m.ExecBatchColumnar(pid, sc.kinds[:n], sc.addrs[:n])
+		done += consumed
+		if err != nil || block != 0 {
+			return done, block, err
+		}
+	}
+	return done, 0, nil
 }
 
 // observeDRAM forwards an observer to DRAM devices that expose probes

@@ -38,7 +38,7 @@ func TestPrefetchCoversSequentialFaults(t *testing.T) {
 	run := func(enabled bool) *stats.Report {
 		r := prefetchMachine(t, 4000, enabled)
 		for _, ref := range streamRefs(20000, 0x1000000) {
-			if _, err := r.Exec(ref); err != nil {
+			if _, err := exec1(r, ref); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,11 +65,11 @@ func TestPrefetchStallChargesPartialWait(t *testing.T) {
 	// Touching the prefetched page immediately after the fault must
 	// wait for (part of) the in-flight transfer, not a full fault.
 	r := prefetchMachine(t, 4000, true)
-	if _, err := r.Exec(uref(1, mem.Load, 0x1000000)); err != nil { // fault + prefetch of next page
+	if _, err := exec1(r, uref(1, mem.Load, 0x1000000)); err != nil { // fault + prefetch of next page
 		t.Fatal(err)
 	}
 	before := r.Report().Cycles
-	if _, err := r.Exec(uref(1, mem.Load, 0x1000000+1024)); err != nil { // prefetched page
+	if _, err := exec1(r, uref(1, mem.Load, 0x1000000+1024)); err != nil { // prefetched page
 		t.Fatal(err)
 	}
 	rep := r.Report()
@@ -99,7 +99,7 @@ func TestPrefetchWastedCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := r.Exec(uref(1, mem.Load, uint64(0x1000000+i*8192))); err != nil {
+		if _, err := exec1(r, uref(1, mem.Load, uint64(0x1000000+i*8192))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestPrefetchDeterministic(t *testing.T) {
 	run := func() mem.Cycles {
 		r := prefetchMachine(t, 2000, true)
 		for _, ref := range streamRefs(5000, 0x1000000) {
-			if _, err := r.Exec(ref); err != nil {
+			if _, err := exec1(r, ref); err != nil {
 				t.Fatal(err)
 			}
 		}

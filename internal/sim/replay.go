@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"rampage/internal/mem"
 	"rampage/internal/trace"
 )
 
@@ -14,20 +15,21 @@ import (
 // references included. Blocking machines (RAMpage with switch-on-miss)
 // are rejected — without a scheduler there is nothing to switch to.
 func Replay(m Machine, r trace.Reader) error {
+	buf := make([]mem.Ref, rowWindow)
 	for {
-		ref, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		block, err := m.Exec(ref)
+		n, rerr := trace.ReadBatch(r, buf)
+		_, block, err := m.ExecBatch(buf[:n])
 		if err != nil {
 			return err
 		}
 		if block != 0 {
 			return fmt.Errorf("sim: Replay cannot drive a switch-on-miss machine (reference blocked)")
+		}
+		if errors.Is(rerr, io.EOF) || (n == 0 && rerr == nil) {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
 		}
 	}
 }

@@ -30,28 +30,60 @@ type proc struct {
 	r         trace.Reader
 	state     procState
 	readyAt   mem.Cycles // when blocked: page-arrival time
-	pending   mem.Ref    // the faulting reference to retry after unblock
-	hasPend   bool
-	sliceLeft uint64 // references remaining in the current time slice
-	done      uint64 // references executed from this stream (checkpoint cursor)
+	sliceLeft uint64     // references remaining in the current time slice
+	done      uint64     // references executed from this stream (checkpoint cursor)
 
-	// Batched-path read-ahead buffer: buf[bufPos:bufN] holds fetched
-	// but not yet executed references; rdErr is the stream's terminal
-	// error (io.EOF or a failure), delivered once the buffer drains.
+	// The window source. col is set when the stream is columnar: windows
+	// go to the machine straight from its Tail/Skip cursor. Otherwise
+	// buf[bufPos:bufN] holds fetched but not yet executed references;
+	// rdErr is the stream's terminal error (io.EOF or a failure),
+	// delivered once the buffer drains.
+	col    *trace.ColumnarReader
 	buf    []mem.Ref
 	bufPos int
 	bufN   int
 	rdErr  error
-
-	// col is set when the process's stream is columnar: the batched
-	// path then feeds the machine column windows directly (zero-copy)
-	// instead of materializing rows into buf.
-	col *trace.ColumnarReader
 }
 
-// DefaultBatchSize is the per-process read-ahead window of the batched
-// scheduler path.
-const DefaultBatchSize = 512
+// ready returns how many references the process can offer the next
+// window, refilling the row read-ahead buffer when it has drained. Zero
+// with a nil error means the stream is exhausted; a stream failure
+// surfaces only after the references read before it have executed.
+func (p *proc) ready() (int, error) {
+	if p.col != nil {
+		return int(p.col.Remaining()), nil
+	}
+	if p.bufPos == p.bufN && p.rdErr == nil {
+		if p.buf == nil {
+			p.buf = make([]mem.Ref, rowWindow)
+		}
+		n, err := trace.ReadBatch(p.r, p.buf)
+		p.bufPos, p.bufN = 0, n
+		p.rdErr = err
+		if n == 0 && err == nil {
+			p.rdErr = io.EOF // defensive: empty read with no error
+		}
+	}
+	if p.bufPos == p.bufN && !errors.Is(p.rdErr, io.EOF) {
+		return 0, p.rdErr
+	}
+	return p.bufN - p.bufPos, nil
+}
+
+// exec runs the next window of n references on m and advances the
+// cursor past the consumed ones. A blocking reference stays at the
+// cursor, to be retried when its page arrives.
+func (p *proc) exec(m Machine, n int) (int, mem.Cycles, error) {
+	if p.col != nil {
+		kinds, addrs := p.col.Tail()
+		consumed, blockUntil, err := m.ExecBatchColumnar(p.pid, kinds[:n], addrs[:n])
+		p.col.Skip(consumed)
+		return consumed, blockUntil, err
+	}
+	consumed, blockUntil, err := m.ExecBatch(p.buf[p.bufPos : p.bufPos+n])
+	p.bufPos += consumed
+	return consumed, blockUntil, err
+}
 
 // SchedulerConfig configures the multiprogramming driver.
 type SchedulerConfig struct {
@@ -71,14 +103,6 @@ type SchedulerConfig struct {
 	// MaxRefs, when non-zero, stops the run after that many
 	// application references (for smoke tests and quick sweeps).
 	MaxRefs uint64
-	// DisableBatching forces the original per-reference execution loop.
-	// The batched path produces bit-identical reports; this escape
-	// hatch exists for equivalence testing and as a debugging aid.
-	DisableBatching bool
-	// BatchSize is the read-ahead window of the batched path in
-	// references (0 = DefaultBatchSize). Any positive value yields the
-	// same reports; larger windows amortise more dispatch overhead.
-	BatchSize uint64
 	// Observer, when non-nil, receives scheduling events (context
 	// switches) and periodic Tick calls with the simulated time so it
 	// can cut interval snapshots. It never influences scheduling: the
@@ -187,43 +211,49 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 	}, nil
 }
 
-// ctxCheckMask throttles context-cancellation polls in the
-// per-reference loop: ctx.Err takes a lock, so the hot loop only asks
-// every 1024 iterations. Cancellation latency stays far below any
-// human-visible delay while the steady-state cost is one counter
-// increment.
+// ctxCheckMask throttles context-cancellation polls: ctx.Err takes a
+// lock, so the loop asks once per 1024 iterations. A window wider than
+// one reference spends the whole budget, so wide windows poll once
+// each and only runs of one-reference windows (pages in flight)
+// amortize. Cancellation latency stays far below any human-visible
+// delay while the steady-state cost is one counter decrement.
 const ctxCheckMask = 1<<10 - 1
 
 // Run executes the workload to completion and returns the machine's
 // report, stopping early with ctx.Err() when the context is canceled.
-// The batched path and the per-reference path produce bit-identical
-// reports; see DESIGN.md's Performance section for the invariant.
+//
+// Each iteration executes one window of the running process's stream
+// with one machine call: column windows go to ExecBatchColumnar, row
+// windows to ExecBatch. The window rules make every window size
+// bit-identical to the paper's reference-at-a-time model (see
+// DESIGN.md's Performance section):
+//
+//   - the window never exceeds the slice remainder, so quantum
+//     boundaries land on exactly the same reference;
+//   - while any page is in flight (wakeAt != 0) the window is a single
+//     reference, preserving the per-reference resume-on-arrival
+//     preemption check and the stall-retry path;
+//   - MaxRefs caps the window;
+//   - a blocking reference is left unconsumed at the stream cursor and
+//     retried after its page arrives.
 func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.cfg.DisableBatching {
-		return s.runPerRef(ctx)
-	}
-	return s.runBatched(ctx)
-}
-
-// runPerRef is the original reference-at-a-time loop, kept as the
-// semantic reference for the batched path.
-func (s *Scheduler) runPerRef(ctx context.Context) (*stats.Report, error) {
 	rep := s.m.Report()
 	cur, ok := s.resumeOrDispatch()
 	if !ok {
 		return rep, nil
 	}
-	var iter uint64
+	budget := 0 // iterations left before the next ctx.Err poll
 	for {
-		if iter&ctxCheckMask == 0 {
+		if budget == 0 {
 			if err := ctx.Err(); err != nil {
 				return rep, err
 			}
+			budget = ctxCheckMask + 1
 		}
-		iter++
+		budget--
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.Tick(uint64(s.m.Now()))
 		}
@@ -245,217 +275,23 @@ func (s *Scheduler) runPerRef(ctx context.Context) (*stats.Report, error) {
 			s.recomputeWake()
 		}
 		p := s.procs[cur]
-		// Fetch the next reference (a pending fault retry first).
-		var ref mem.Ref
-		if p.hasPend {
-			ref = p.pending
-			p.hasPend = false
-		} else {
-			r, err := p.r.Next()
-			if errors.Is(err, io.EOF) {
-				p.state = procDone
-				next, ok := s.dispatch()
-				if !ok {
-					return rep, nil // all done
-				}
-				if err := s.switchTrace(rep, cur, next, false); err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			if err != nil {
-				return rep, err
-			}
-			ref = r
-		}
-		blockUntil, err := s.m.Exec(ref)
+		avail, err := p.ready()
 		if err != nil {
 			return rep, err
 		}
-		if blockUntil != 0 {
-			if s.wakeAt != 0 {
-				// Another page is already in flight: a second switch
-				// would drag a third working set into the SRAM and
-				// amplify faults instead of hiding latency. Stall this
-				// (fill-in) process until its own page arrives; the
-				// loop-top preemption hands control back to the
-				// original faulter the moment its page lands.
-				s.m.AdvanceTo(blockUntil)
-				p.pending = ref
-				p.hasPend = true
-				continue
+		if avail == 0 {
+			p.state = procDone
+			next, ok := s.dispatch()
+			if !ok {
+				return rep, nil // all done
 			}
-			// Page fault with switch-on-miss: block this process and
-			// run something else while the page is in flight (§4.6).
-			p.pending = ref
-			p.hasPend = true
-			s.blockProc(rep, cur, blockUntil)
-			next, err := s.resumeAfterBlock(rep, cur)
-			if err != nil {
+			if err := s.switchTrace(rep, cur, next, false); err != nil {
 				return rep, err
 			}
 			cur = next
 			continue
 		}
-		s.executed++
-		p.done++
-		p.sliceLeft--
-		if p.sliceLeft == 0 {
-			next, err := s.quantumBoundary(rep, cur)
-			if err != nil {
-				return rep, err
-			}
-			cur = next
-		}
-	}
-}
-
-// runBatched is the batched execution loop: it fetches a window of
-// references into the process's read-ahead buffer and executes it with
-// one ExecBatch call. Semantics are bit-identical to runPerRef:
-//
-//   - the window never exceeds the slice remainder, so quantum
-//     boundaries land on exactly the same reference;
-//   - while any page is in flight (wakeAt != 0) the window degrades to
-//     a single reference, preserving the per-reference resume-on-
-//     arrival preemption check and the stall-retry path;
-//   - a blocking reference is left unconsumed at the buffer cursor,
-//     which is the batched equivalent of the pending-retry slot;
-//   - MaxRefs caps the window, and stream errors surface only after
-//     the references read before them have executed, exactly as a
-//     per-reference Next loop would.
-func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
-	rep := s.m.Report()
-	batchCap := s.cfg.BatchSize
-	if batchCap == 0 {
-		batchCap = DefaultBatchSize
-	}
-	// Columnar handoff: when the machine executes columns and a
-	// process's stream is columnar, windows go straight from the
-	// capture buffer to the machine with no row materialization.
-	colExec, _ := s.m.(ColumnarMachine)
-	cur, ok := s.resumeOrDispatch()
-	if !ok {
-		return rep, nil
-	}
-	for {
-		// One poll per batch window (up to BatchSize references), so the
-		// cancellation check amortizes like the rest of the dispatch
-		// overhead.
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.Tick(uint64(s.m.Now()))
-		}
-		if s.cfg.MaxRefs > 0 && s.executed >= s.cfg.MaxRefs {
-			return rep, nil
-		}
-		if s.wakeAt != 0 && s.m.Now() >= s.wakeAt {
-			if woken := s.earliestArrived(); woken >= 0 && woken != cur {
-				s.procs[cur].state = procReady
-				s.queue.pushFront(cur) // fill-in keeps priority
-				if err := s.switchTrace(rep, cur, woken, true); err != nil {
-					return rep, err
-				}
-				s.procs[woken].state = procRunning
-				cur = woken
-			}
-			s.recomputeWake()
-		}
-		p := s.procs[cur]
-		if colExec != nil && p.col != nil {
-			// Columnar window: identical control flow to the row path
-			// below, with Tail/Skip standing in for the buffer cursor.
-			// The batch-size cap is irrelevant here — the window is
-			// bounded by the same slice/wake/MaxRefs limits.
-			kinds, addrs := p.col.Tail()
-			if len(kinds) == 0 {
-				p.state = procDone
-				next, ok := s.dispatch()
-				if !ok {
-					return rep, nil // all done
-				}
-				if err := s.switchTrace(rep, cur, next, false); err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			window := uint64(len(kinds))
-			if window > p.sliceLeft {
-				window = p.sliceLeft
-			}
-			if s.wakeAt != 0 {
-				window = 1 // per-reference checks while transfers are in flight
-			}
-			if s.cfg.MaxRefs > 0 {
-				if left := s.cfg.MaxRefs - s.executed; window > left {
-					window = left
-				}
-			}
-			consumed, blockUntil, err := colExec.ExecBatchColumnar(p.pid, kinds[:window], addrs[:window])
-			p.col.Skip(consumed)
-			s.executed += uint64(consumed)
-			p.done += uint64(consumed)
-			p.sliceLeft -= uint64(consumed)
-			if err != nil {
-				return rep, err
-			}
-			if blockUntil != 0 {
-				// The reference at the column cursor faulted and must
-				// retry after blockUntil.
-				if s.wakeAt != 0 {
-					s.m.AdvanceTo(blockUntil)
-					continue
-				}
-				s.blockProc(rep, cur, blockUntil)
-				next, err := s.resumeAfterBlock(rep, cur)
-				if err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			if p.sliceLeft == 0 {
-				next, err := s.quantumBoundary(rep, cur)
-				if err != nil {
-					return rep, err
-				}
-				cur = next
-			}
-			continue
-		}
-		if p.bufPos == p.bufN {
-			if p.rdErr == nil {
-				if p.buf == nil {
-					p.buf = make([]mem.Ref, batchCap)
-				}
-				n, err := trace.ReadBatch(p.r, p.buf)
-				p.bufPos, p.bufN = 0, n
-				p.rdErr = err
-				if n == 0 && err == nil {
-					p.rdErr = io.EOF // defensive: empty read with no error
-				}
-			}
-			if p.bufPos == p.bufN {
-				if !errors.Is(p.rdErr, io.EOF) {
-					return rep, p.rdErr
-				}
-				p.state = procDone
-				next, ok := s.dispatch()
-				if !ok {
-					return rep, nil // all done
-				}
-				if err := s.switchTrace(rep, cur, next, false); err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-		}
-		window := uint64(p.bufN - p.bufPos)
+		window := uint64(avail)
 		if window > p.sliceLeft {
 			window = p.sliceLeft
 		}
@@ -467,8 +303,10 @@ func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
 				window = left
 			}
 		}
-		consumed, blockUntil, err := s.m.ExecBatch(p.buf[p.bufPos : p.bufPos+int(window)])
-		p.bufPos += consumed
+		if window > 1 {
+			budget = 0
+		}
+		consumed, blockUntil, err := p.exec(s.m, int(window))
 		s.executed += uint64(consumed)
 		p.done += uint64(consumed)
 		p.sliceLeft -= uint64(consumed)
@@ -476,17 +314,20 @@ func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
 			return rep, err
 		}
 		if blockUntil != 0 {
-			// p.buf[p.bufPos] faulted and must retry after blockUntil.
+			// The reference at the stream cursor faulted and must retry
+			// after blockUntil.
 			if s.wakeAt != 0 {
-				// Stall in place; loop-top preemption resumes the
+				// Another page is already in flight: a second switch
+				// would drag a third working set into the SRAM and
+				// amplify faults instead of hiding latency. Stall this
+				// (fill-in) process until its own page arrives; the
+				// loop-top preemption hands control back to the
 				// original faulter the moment its page lands.
 				s.m.AdvanceTo(blockUntil)
 				continue
 			}
 			// Page fault with switch-on-miss: block this process and
 			// run something else while the page is in flight (§4.6).
-			// The faulting reference stays at p.buf[p.bufPos] — the
-			// batched equivalent of the pending-retry slot.
 			s.blockProc(rep, cur, blockUntil)
 			next, err := s.resumeAfterBlock(rep, cur)
 			if err != nil {

@@ -47,6 +47,13 @@ func uref(pid mem.PID, kind mem.RefKind, addr uint64) mem.Ref {
 	return mem.Ref{PID: pid, Kind: kind, Addr: mem.VAddr(addr)}
 }
 
+// exec1 runs one application reference as a one-reference window and
+// returns its page-arrival time when it blocked.
+func exec1(m Machine, ref mem.Ref) (mem.Cycles, error) {
+	_, block, err := m.ExecBatch([]mem.Ref{ref})
+	return block, err
+}
+
 // --- Exact timing arithmetic (kernel path: no TLB, no handlers) ---
 
 func TestBaselineColdIFetchTiming(t *testing.T) {
@@ -137,7 +144,7 @@ func TestRAMpageWritebackPenalty9(t *testing.T) {
 
 func TestBaselineTLBMissRunsHandler(t *testing.T) {
 	b := testBaseline(t, 200, 128)
-	if _, err := b.Exec(uref(1, mem.Load, 0x100000)); err != nil {
+	if _, err := exec1(b, uref(1, mem.Load, 0x100000)); err != nil {
 		t.Fatal(err)
 	}
 	rep := b.Report()
@@ -155,7 +162,7 @@ func TestBaselineTLBMissRunsHandler(t *testing.T) {
 	}
 	// Second access to the same page: TLB hit, no more handler refs.
 	os := rep.OSTLBRefs
-	b.Exec(uref(1, mem.Load, 0x100008))
+	exec1(b, uref(1, mem.Load, 0x100008))
 	if rep.OSTLBRefs != os {
 		t.Error("TLB hit ran the handler")
 	}
@@ -163,7 +170,7 @@ func TestBaselineTLBMissRunsHandler(t *testing.T) {
 
 func TestRAMpageFaultChargesPageTransfer(t *testing.T) {
 	r := testRAMpage(t, 200, 4096, false)
-	if _, err := r.Exec(uref(1, mem.Load, 0x100000)); err != nil {
+	if _, err := exec1(r, uref(1, mem.Load, 0x100000)); err != nil {
 		t.Fatal(err)
 	}
 	rep := r.Report()
@@ -186,7 +193,7 @@ func TestRAMpageSmallPagesShrinkTLBReach(t *testing.T) {
 	run := func(page uint64) float64 {
 		r := testRAMpage(t, 200, page, false)
 		for i := 0; i < 4000; i++ {
-			if _, err := r.Exec(uref(1, mem.Load, uint64(0x100000+i*512))); err != nil {
+			if _, err := exec1(r, uref(1, mem.Load, uint64(0x100000+i*512))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -212,7 +219,7 @@ func TestRAMpageReplacementPurgesL1(t *testing.T) {
 	// Touch many pages with stores, cycling far beyond capacity.
 	for lap := 0; lap < 3; lap++ {
 		for i := 0; i < 32; i++ {
-			if _, err := r.Exec(uref(1, mem.Store, uint64(0x100000+i*4096))); err != nil {
+			if _, err := exec1(r, uref(1, mem.Store, uint64(0x100000+i*4096))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -46,7 +46,7 @@ const captureChunk = 4096
 // CaptureColumnar drains r — at most limit references, or the whole
 // stream when limit is 0 — into a ColumnarBuffer. The stream must be
 // single-process: a second PID aborts the capture with an error (the
-// caller falls back to row-form preloading). The references read are
+// harness then regenerates the stream for every run instead). The references read are
 // bit-identical to what the same Reader would have delivered to the
 // simulator directly, because the drain uses the Reader's own batch
 // path.
@@ -115,14 +115,9 @@ func (r *ColumnarReader) Next() (mem.Ref, error) {
 	return ref, nil
 }
 
-// ReadBatch implements BatchReader.
+// ReadBatch implements BatchReader. The scheduler reads columnar
+// streams through Tail and Skip instead.
 func (r *ColumnarReader) ReadBatch(dst []mem.Ref) (int, error) {
-	return r.readBatchPID(dst, r.buf.PID)
-}
-
-// readBatchPID is ReadBatch with the PID overridden at materialization
-// time — Retag's fused path, sparing its retag pass over dst.
-func (r *ColumnarReader) readBatchPID(dst []mem.Ref, pid mem.PID) (int, error) {
 	if r.pos >= r.buf.Len() {
 		return 0, io.EOF
 	}
@@ -134,7 +129,7 @@ func (r *ColumnarReader) readBatchPID(dst []mem.Ref, pid mem.PID) (int, error) {
 	}
 	addrs = addrs[:len(kinds)]
 	for i := 0; i < n; i++ {
-		dst[i] = mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
+		dst[i] = mem.Ref{PID: r.buf.PID, Kind: kinds[i], Addr: addrs[i]}
 	}
 	r.pos += n
 	return n, nil
@@ -150,8 +145,8 @@ func (r *ColumnarReader) Reset() { r.pos = 0 }
 // Tail returns direct views of the unread remainder of the columns.
 // The views alias the buffer; a consumer that executes n references
 // from them must advance the cursor with Skip(n). This is the zero-copy
-// handoff the scheduler uses to feed columnar machines without
-// materializing mem.Ref rows.
+// handoff the scheduler uses to feed machines without materializing
+// mem.Ref rows.
 func (r *ColumnarReader) Tail() ([]mem.RefKind, []mem.VAddr) {
 	return r.buf.Kinds[r.pos:], r.buf.Addrs[r.pos:]
 }
