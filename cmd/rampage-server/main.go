@@ -48,7 +48,6 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/fleet"
-	"rampage/internal/jobs"
 	"rampage/internal/metrics"
 	"rampage/internal/server"
 )
@@ -63,7 +62,7 @@ func main() {
 		sweepWorkers = flag.Int("sweep-parallel", 0, "per-job grid-cell parallelism (0 = one per CPU)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs before canceling them")
 		ckptMB       = flag.Int64("checkpoint-mb", 64, "warm-state checkpoint store resident budget in MiB (0 = unlimited)")
-		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint spill directory (empty = evictions are dropped)")
+		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint disk directory: checkpoints are written through and survive restarts (empty = memory only, evictions are dropped)")
 		storeDir     = flag.String("store-dir", "", "persistent result store directory (empty = memory-only caching)")
 		storeMB      = flag.Int64("store-mb", 1024, "persistent result store budget in MiB (0 = unlimited)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "fleet lease TTL before a silent worker's cells are requeued (0 = default 15s)")
@@ -151,20 +150,16 @@ func runWorker(url, name string, parallel int, ckptBytes int64, ckptDir, storeDi
 		name, _ = os.Hostname()
 	}
 	stats := &metrics.ServiceStats{}
-	var disk *jobs.DiskStore
-	if storeDir != "" {
-		d, err := jobs.NewDiskStore(storeDir, storeBytes, stats)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rampage-server:", err)
-			return 2
-		}
-		disk = d
+	disk, ckptDisk, err := server.OpenDisks(storeDir, storeBytes, ckptDir, stats)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rampage-server:", err)
+		return 2
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       parallel,
-		Checkpoints:    checkpoint.NewStore(ckptBytes, ckptDir, stats),
+		Checkpoints:    checkpoint.NewStore(ckptBytes, ckptDisk, stats),
 		Disk:           disk,
 		Stats:          stats,
 		Logf:           log.Printf,

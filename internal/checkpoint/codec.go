@@ -1,7 +1,7 @@
 // Package checkpoint provides warm-state checkpointing for the
 // simulator: a versioned, deterministic binary codec for machine and
 // scheduler state, a content-addressed checkpoint container, and a
-// byte-budget LRU store with optional disk spill.
+// checkpoint index over the tiered internal/store blob store.
 //
 // The motivation is §4.2 of the paper: warming the SRAM main memory
 // alone costs 25–50 M references, and every grid cell of a sweep used

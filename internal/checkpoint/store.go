@@ -1,55 +1,46 @@
 package checkpoint
 
 import (
-	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
-// Store is a content-addressed checkpoint store: an in-memory
-// byte-budget LRU with optional disk spill. Entries are addressed by
-// (warm-up prefix hash, reference count, finality); lookups ask for
-// the newest checkpoint dominating a target reference budget. It is
-// safe for concurrent use — sweep cells share one store.
+// Store is a content-addressed checkpoint store: a metadata index over
+// a store.Store that holds the encoded checkpoints in a byte-budget
+// memory tier, written through to an optional disk tier. Entries are
+// addressed by (warm-up prefix hash, reference count, finality);
+// lookups ask for the newest checkpoint dominating a target reference
+// budget and never touch the bytes of any other entry. It is safe for
+// concurrent use — sweep cells share one store.
 type Store struct {
-	mu      sync.Mutex
-	budget  int64      // resident-byte budget; <= 0 means unlimited
-	bytes   int64      // resident bytes
-	ll      *list.List // *entry, front = most recently used
-	entries map[string]*entry
-	dir     string // spill directory; "" disables spilling
-	svc     *metrics.ServiceStats
-}
+	blobs *store.Store
+	svc   *metrics.ServiceStats
 
-// entry is one stored checkpoint. Metadata stays in memory even when
-// the encoded bytes have been spilled to disk, so dominance lookups
-// never touch the filesystem.
-type entry struct {
-	key  string
-	meta Meta
-	mem  []byte        // encoded checkpoint; nil when spilled
-	path string        // spill file; "" when resident only
-	elem *list.Element // non-nil while resident in the LRU
+	mu    sync.Mutex
+	index map[string][]Meta // by prefix
 }
 
 // NewStore returns a store with the given resident-byte budget
-// (<= 0 = unlimited) and spill directory ("" = evictions are dropped
-// instead of spilled). svc may be nil; when set, the store counts
-// hits, misses and evictions on it.
-func NewStore(budgetBytes int64, dir string, svc *metrics.ServiceStats) *Store {
-	return &Store{
-		budget:  budgetBytes,
-		ll:      list.New(),
-		entries: make(map[string]*entry),
-		dir:     dir,
-		svc:     svc,
+// (<= 0 = unlimited) over disk (nil = memory only). Without a disk
+// tier a checkpoint evicted from memory is dropped; with one it stays
+// servable from disk, and the index is rebuilt from the disk tier's
+// keys so a restarted process warms from the checkpoints its
+// predecessor wrote. svc may be nil; when set, the store counts hits,
+// misses and evictions on it.
+func NewStore(budgetBytes int64, disk *store.Disk, svc *metrics.ServiceStats) *Store {
+	s := &Store{svc: svc, index: make(map[string][]Meta)}
+	s.blobs = store.New(budgetBytes, disk, s.evicted)
+	for _, key := range disk.Keys() {
+		if m, ok := parseEntryKey(key); ok {
+			s.add(m)
+		}
 	}
+	return s
 }
 
 // entryKey addresses one checkpoint within the store.
@@ -57,77 +48,63 @@ func entryKey(m Meta) string {
 	return fmt.Sprintf("%s@%d/%t", m.Prefix, m.Refs, m.Final)
 }
 
-// Put stores a checkpoint. Re-putting an existing (prefix, refs,
-// final) address refreshes its recency and keeps the first bytes —
-// checkpoints are deterministic, so the payloads are identical.
-func (s *Store) Put(c *Checkpoint) {
-	enc := c.Encode()
+// parseEntryKey inverts entryKey, accepting only its canonical form.
+func parseEntryKey(key string) (Meta, bool) {
+	at := strings.LastIndexByte(key, '@')
+	if at < 0 {
+		return Meta{}, false
+	}
+	m := Meta{Prefix: key[:at]}
+	_, err := fmt.Sscanf(key[at+1:], "%d/%t", &m.Refs, &m.Final)
+	return m, err == nil && entryKey(m) == key
+}
+
+// evicted is the memory tier's eviction report. A checkpoint with no
+// disk copy is gone, so it leaves the index too.
+func (s *Store) evicted(key string) {
+	s.svc.Add(metrics.SvcCkptEvict, 1)
+	if s.blobs.Disk() == nil {
+		if m, ok := parseEntryKey(key); ok {
+			s.remove(m)
+		}
+	}
+}
+
+// add indexes a checkpoint, reporting whether it was new.
+func (s *Store) add(m Meta) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := entryKey(c.Meta)
-	if e, ok := s.entries[key]; ok {
-		if e.elem != nil {
-			s.ll.MoveToFront(e.elem)
-		}
-		return
-	}
-	e := &entry{key: key, meta: c.Meta, mem: enc}
-	if s.budget > 0 && int64(len(enc)) > s.budget {
-		// Larger than the whole budget: straight to disk, or refuse.
-		if s.dir == "" {
-			return
-		}
-		if s.spill(e) {
-			s.entries[key] = e
-		}
-		return
-	}
-	s.entries[key] = e
-	e.elem = s.ll.PushFront(e)
-	s.bytes += int64(len(enc))
-	s.evictOver()
-}
-
-// evictOver spills or drops least-recently-used residents until the
-// resident bytes fit the budget. Caller holds the lock.
-func (s *Store) evictOver() {
-	for s.budget > 0 && s.bytes > s.budget {
-		back := s.ll.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*entry)
-		s.ll.Remove(back)
-		s.bytes -= int64(len(e.mem))
-		e.elem = nil
-		s.svc.Add(metrics.SvcCkptEvict, 1)
-		if s.dir != "" && e.path == "" && s.spill(e) {
-			e.mem = nil
-			continue
-		}
-		if e.path == "" {
-			delete(s.entries, e.key) // nowhere to spill: dropped
-		} else {
-			e.mem = nil // already on disk
-		}
-	}
-}
-
-// spill writes an entry's encoded bytes to the spill directory,
-// reporting success. Failures leave the entry unspilled.
-func (s *Store) spill(e *entry) bool {
-	sum := sha256.Sum256([]byte(e.key))
-	path := filepath.Join(s.dir, hex.EncodeToString(sum[:16])+".ckpt")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, e.mem, 0o644); err != nil {
+	if slices.Contains(s.index[m.Prefix], m) {
 		return false
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return false
-	}
-	e.path = path
+	s.index[m.Prefix] = append(s.index[m.Prefix], m)
 	return true
+}
+
+// remove unindexes one checkpoint.
+func (s *Store) remove(m Meta) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	metas := slices.DeleteFunc(s.index[m.Prefix], func(have Meta) bool { return have == m })
+	if len(metas) == 0 {
+		delete(s.index, m.Prefix)
+	} else {
+		s.index[m.Prefix] = metas
+	}
+}
+
+// Put stores a checkpoint. Re-putting an existing (prefix, refs,
+// final) address refreshes its recency — checkpoints are
+// deterministic, so the payloads are identical. A checkpoint neither
+// tier takes (larger than the memory budget, no disk tier) is not
+// indexed.
+func (s *Store) Put(c *Checkpoint) {
+	// Index first: an eviction reported between the blob write and a
+	// later index insert would leave an entry indexed with no bytes.
+	added := s.add(c.Meta)
+	if !s.blobs.Put(entryKey(c.Meta), c.Encode()) && added {
+		s.remove(c.Meta)
+	}
 }
 
 // usable classifies a stored checkpoint against a target reference
@@ -158,84 +135,43 @@ func usable(m Meta, maxRefs uint64) (complete, resume bool) {
 	return false, m.Refs < maxRefs
 }
 
+// best picks the prefix's checkpoint for reaching maxRefs: a complete
+// answer when one exists, otherwise the resumable checkpoint with the
+// most references already executed.
+func (s *Store) best(prefix string, maxRefs uint64) (best Meta, complete, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.index[prefix] {
+		comp, res := usable(m, maxRefs)
+		if !comp && !res {
+			continue
+		}
+		if !ok || (comp && !complete) || (comp == complete && m.Refs > best.Refs) {
+			best, complete, ok = m, comp, true
+		}
+	}
+	return best, complete, ok
+}
+
 // Nearest returns the best stored checkpoint for reaching maxRefs
 // references under the given warm-up prefix: a complete answer when
 // one exists, otherwise the resumable checkpoint with the most
 // references already executed. ok is false when nothing helps (a cold
-// run is required).
+// run is required). A chosen checkpoint whose bytes are gone or do not
+// decode is unindexed and the lookup misses.
 func (s *Store) Nearest(prefix string, maxRefs uint64) (c *Checkpoint, complete bool, ok bool) {
-	s.mu.Lock()
-	var best *entry
-	var bestComplete bool
-	for _, e := range s.entries {
-		comp, res := usable(e.meta, maxRefs)
-		if e.meta.Prefix != prefix || (!comp && !res) {
-			continue
+	m, complete, ok := s.best(prefix, maxRefs)
+	if ok {
+		if enc, _, hit := s.blobs.Get(entryKey(m)); hit {
+			if ck, err := Decode(enc); err == nil {
+				s.svc.Add(metrics.SvcCkptHit, 1)
+				return ck, complete, true
+			}
 		}
-		if best == nil ||
-			(comp && !bestComplete) ||
-			(comp == bestComplete && e.meta.Refs > best.meta.Refs) {
-			best, bestComplete = e, comp
-		}
+		s.remove(m)
 	}
-	if best == nil {
-		s.mu.Unlock()
-		s.svc.Add(metrics.SvcCkptMiss, 1)
-		return nil, false, false
-	}
-	enc, err := s.load(best)
-	s.mu.Unlock()
-	if err != nil {
-		s.svc.Add(metrics.SvcCkptMiss, 1)
-		return nil, false, false
-	}
-	ck, err := Decode(enc)
-	if err != nil {
-		s.mu.Lock()
-		s.drop(best)
-		s.mu.Unlock()
-		s.svc.Add(metrics.SvcCkptMiss, 1)
-		return nil, false, false
-	}
-	s.svc.Add(metrics.SvcCkptHit, 1)
-	return ck, bestComplete, true
-}
-
-// load returns an entry's encoded bytes, reading them back from the
-// spill file and re-admitting them to the resident LRU when needed.
-// Caller holds the lock.
-func (s *Store) load(e *entry) ([]byte, error) {
-	if e.mem != nil {
-		if e.elem != nil {
-			s.ll.MoveToFront(e.elem)
-		}
-		return e.mem, nil
-	}
-	enc, err := os.ReadFile(e.path)
-	if err != nil {
-		s.drop(e)
-		return nil, err
-	}
-	if s.budget <= 0 || int64(len(enc)) <= s.budget {
-		e.mem = enc
-		e.elem = s.ll.PushFront(e)
-		s.bytes += int64(len(enc))
-		s.evictOver()
-	}
-	return enc, nil
-}
-
-// drop removes an entry entirely. Caller holds the lock.
-func (s *Store) drop(e *entry) {
-	if e.elem != nil {
-		s.ll.Remove(e.elem)
-		s.bytes -= int64(len(e.mem))
-		e.elem = nil
-	}
-	delete(s.entries, e.key)
-	if e.path != "" {
-		os.Remove(e.path)
-	}
+	s.svc.Add(metrics.SvcCkptMiss, 1)
+	return nil, false, false
 }
 
 // Peek reports whether a checkpoint usable for reaching maxRefs exists
@@ -244,33 +180,21 @@ func (s *Store) drop(e *entry) {
 // cells; the answer is advisory — a concurrent eviction can invalidate
 // it before Nearest runs.
 func (s *Store) Peek(prefix string, maxRefs uint64) (refs uint64, complete, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if e.meta.Prefix != prefix {
-			continue
-		}
-		comp, res := usable(e.meta, maxRefs)
-		if !comp && !res {
-			continue
-		}
-		if !ok || (comp && !complete) || (comp == complete && e.meta.Refs > refs) {
-			refs, complete, ok = e.meta.Refs, comp, true
-		}
-	}
-	return refs, complete, ok
+	m, complete, ok := s.best(prefix, maxRefs)
+	return m.Refs, complete, ok
 }
 
-// Len returns the number of stored checkpoints (resident + spilled).
+// Len returns the number of indexed checkpoints, resident in memory or
+// held only by the disk tier.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	n := 0
+	for _, metas := range s.index {
+		n += len(metas)
+	}
+	return n
 }
 
 // Bytes returns the resident (in-memory) byte total.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
+func (s *Store) Bytes() int64 { return s.blobs.Bytes() }

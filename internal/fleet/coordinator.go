@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"rampage/internal/jobs"
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 // CoordinatorConfig sizes the coordinator.
@@ -29,7 +29,7 @@ type CoordinatorConfig struct {
 	// content-addressed by their run key: cells shared between
 	// experiments (or re-run after a restart) are answered from disk
 	// instead of re-simulated — fleet-wide dedup.
-	Disk *jobs.DiskStore
+	Disk *store.Disk
 	// Local executes a cell in-process. It is the fallback when cells
 	// are queued but no live worker remains (all died mid-sweep), so a
 	// fleet degrades to a single machine instead of hanging. Required.
@@ -202,7 +202,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		delete(w.inflight, req.Key)
 	}
 	t, active := c.tasks[req.Key]
-	if req.Error == "" && c.cfg.Disk != nil && len(req.Report) > 0 {
+	if req.Error == "" && len(req.Report) > 0 {
 		c.cfg.Disk.Put(req.Key, req.Report)
 	}
 	if !active {
@@ -381,12 +381,10 @@ func (c *Coordinator) Execute(ctx context.Context, cells []CellSpec, progress fu
 			w.idx = append(w.idx, i)
 			continue
 		}
-		if c.cfg.Disk != nil {
-			if data, ok := c.cfg.Disk.Get(cell.Key); ok {
-				results[i] = data
-				progress(i, data)
-				continue
-			}
+		if data, ok := c.cfg.Disk.Get(cell.Key); ok {
+			results[i] = data
+			progress(i, data)
+			continue
 		}
 		t, ok := c.tasks[cell.Key]
 		if !ok {
@@ -466,9 +464,7 @@ func (c *Coordinator) runOrphansLocally(ctx context.Context) {
 		c.finishLocked(t, nil, err)
 		return
 	}
-	if c.cfg.Disk != nil {
-		c.cfg.Disk.Put(t.cell.Key, data)
-	}
+	c.cfg.Disk.Put(t.cell.Key, data)
 	c.cfg.Stats.Add(metrics.SvcFleetLocal, 1)
 	c.cfg.Stats.Add(metrics.SvcFleetCompleted, 1)
 	c.finishLocked(t, data, nil)

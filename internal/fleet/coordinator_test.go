@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"rampage/internal/harness"
-	"rampage/internal/jobs"
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 // fakeCells fabricates wire cells with distinct content addresses; the
@@ -179,7 +179,7 @@ func TestCoordinatorRequeueOnExpiry(t *testing.T) {
 // a cell twice (or completing a cell the coordinator never leased) is
 // accepted, and the result lands in the disk store.
 func TestCoordinatorIdempotentComplete(t *testing.T) {
-	disk, err := jobs.NewDiskStore(t.TempDir(), 0, nil)
+	disk, err := store.OpenDisk(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/harness"
-	"rampage/internal/jobs"
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 func tinyConfig() harness.Config {
@@ -59,7 +59,7 @@ func startWorker(t *testing.T, url, name string) (*Worker, chan error) {
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    checkpoint.NewStore(8<<20, nil, nil),
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,
 	})
@@ -155,7 +155,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 	})
 	cs := newCoordServer(t, c)
 
-	disk, err := jobs.NewDiskStore(t.TempDir(), 0, nil)
+	disk, err := store.OpenDisk(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 		CoordinatorURL: cs.ts.URL,
 		Name:           "memo",
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    checkpoint.NewStore(8<<20, nil, nil),
 		Disk:           disk,
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,

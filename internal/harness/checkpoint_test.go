@@ -9,6 +9,7 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 // ckptTestConfig is a fast configuration with enough references to
@@ -56,7 +57,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 				t.Fatalf("scratch run: %v", err)
 			}
 
-			store := checkpoint.NewStore(0, "", nil)
+			store := checkpoint.NewStore(0, nil, nil)
 			warm := cfg
 			warm.Checkpoints = store
 			warm.MaxRefs = 120_000
@@ -75,6 +76,47 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 				t.Errorf("resumed report differs from scratch:\n got: %+v\nwant: %+v", *got, *want)
 			}
 		})
+	}
+}
+
+// TestCheckpointResumeFromReopenedStore pins the restart path end to
+// end: a checkpoint written through to a disk tier by one store is
+// restored by a fresh store over the same directory, and the resumed
+// run is bit-identical to the cold run.
+func TestCheckpointResumeFromReopenedStore(t *testing.T) {
+	spec := RunSpec{System: RAMpageCS, IssueMHz: 1000, SizeBytes: 512, SwitchTrace: true}
+	cfg := ckptTestConfig()
+	cfg.MaxRefs = 240_000
+	want, err := Run(context.Background(), cfg, spec)
+	if err != nil {
+		t.Fatalf("scratch run: %v", err)
+	}
+	dir := t.TempDir()
+	open := func(svc *metrics.ServiceStats) *checkpoint.Store {
+		disk, err := store.OpenDisk(dir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checkpoint.NewStore(0, disk, svc)
+	}
+	warm := cfg
+	warm.Checkpoints = open(nil)
+	warm.MaxRefs = 120_000
+	if _, err := Run(context.Background(), warm, spec); err != nil {
+		t.Fatalf("prefix run: %v", err)
+	}
+	svc := &metrics.ServiceStats{}
+	warm.Checkpoints = open(svc)
+	warm.MaxRefs = 240_000
+	got, err := Run(context.Background(), warm, spec)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if h := svc.Get(metrics.SvcCkptHit); h != 1 {
+		t.Fatalf("checkpoint hits after reopen = %d, want 1 (the run started cold)", h)
+	}
+	if *got != *want {
+		t.Errorf("report resumed from a reopened store differs from scratch:\n got: %+v\nwant: %+v", *got, *want)
 	}
 }
 
@@ -100,7 +142,7 @@ func TestCheckpointResumePerRefAndVerify(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			warm := ckptTestConfig()
-			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
+			warm.Checkpoints = checkpoint.NewStore(0, nil, nil)
 			warm.Verify = mode.verify
 			warm.MaxRefs = 120_000
 			if _, err := runNarrow(context.Background(), warm, spec, mode.k); err != nil {
@@ -132,7 +174,7 @@ func TestCheckpointCompleteSkipsRun(t *testing.T) {
 	}
 
 	svc := &metrics.ServiceStats{}
-	store := checkpoint.NewStore(0, "", svc)
+	store := checkpoint.NewStore(0, nil, svc)
 	warm := cfg
 	warm.Checkpoints = store
 	if _, err := Run(context.Background(), warm, spec); err != nil {
@@ -176,7 +218,7 @@ func TestCheckpointFinalAnswersLargerBudget(t *testing.T) {
 		t.Fatalf("uncapped run: %v", err)
 	}
 
-	store := checkpoint.NewStore(0, "", nil)
+	store := checkpoint.NewStore(0, nil, nil)
 	warm := cfg
 	warm.Checkpoints = store
 	if _, err := Run(context.Background(), warm, spec); err != nil {
@@ -210,7 +252,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	}
 
 	svc := &metrics.ServiceStats{}
-	cfg.Checkpoints = checkpoint.NewStore(0, "", svc)
+	cfg.Checkpoints = checkpoint.NewStore(0, nil, svc)
 	cold, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
@@ -242,7 +284,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 60_000
-	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	cfg.Checkpoints = checkpoint.NewStore(0, nil, nil)
 	rates := []uint64{1000}
 	sizes := []uint64{256, 512, 1024}
 
@@ -331,7 +373,7 @@ func TestGoldenExperimentsCheckpointEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm := tinyConfig()
-			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
+			warm.Checkpoints = checkpoint.NewStore(0, nil, nil)
 			for _, phase := range []string{"cold", "warm"} {
 				doc, err := BuildExperimentDoc(context.Background(), warm, id, rates, sizes)
 				if err != nil {
@@ -364,7 +406,7 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	capture := func(name string, k int, mutate func(*Config)) []byte {
 		t.Helper()
 		cfg := base
-		cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+		cfg.Checkpoints = checkpoint.NewStore(0, nil, nil)
 		mutate(&cfg)
 		if _, err := runNarrow(context.Background(), cfg, spec, k); err != nil {
 			t.Fatalf("%s run: %v", name, err)
@@ -403,7 +445,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 		t.Fatalf("scratch run: %v", err)
 	}
 
-	store := checkpoint.NewStore(0, "", nil)
+	store := checkpoint.NewStore(0, nil, nil)
 	prefixCfg := cfg
 	prefixCfg.Checkpoints = store
 	prefixCfg.MaxRefs = 120_000
@@ -430,7 +472,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	corrupted.Payload = append([]byte{}, ck.Payload...)
 	corrupted.Payload[at] ^= 1
 
-	evil := checkpoint.NewStore(0, "", nil)
+	evil := checkpoint.NewStore(0, nil, nil)
 	evil.Put(corrupted)
 	warm := cfg
 	warm.Checkpoints = evil
@@ -446,7 +488,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	}
 	// An uncorrupted copy of the same checkpoint still resumes cleanly —
 	// the divergence above is the corruption, not the restore path.
-	clean := checkpoint.NewStore(0, "", nil)
+	clean := checkpoint.NewStore(0, nil, nil)
 	clean.Put(ck)
 	warm.Checkpoints = clean
 	if got, err = Run(context.Background(), warm, spec); err != nil || *got != *want {

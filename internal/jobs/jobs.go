@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 // Submission errors. The HTTP layer maps ErrQueueFull to 429 with a
@@ -178,7 +179,7 @@ type Config struct {
 	// content-addressed store: lookups that miss memory are answered
 	// from disk (and promoted), finished results are written through.
 	// Results therefore survive restarts and are shared fleet-wide.
-	Disk *DiskStore
+	Disk *store.Disk
 	// KeepFinished bounds how many terminal jobs stay pollable (min 1;
 	// default 512). Older finished jobs are forgotten FIFO.
 	KeepFinished int
@@ -199,11 +200,10 @@ type Config struct {
 }
 
 // Manager owns the queue, the worker pool, the singleflight index and
-// the result cache.
+// the result store.
 type Manager struct {
 	cfg     Config
-	cache   *Cache
-	disk    *DiskStore // nil when no persistent store is attached
+	results *store.Store
 	stats   *metrics.ServiceStats
 	tenants *metrics.TenantStats
 	limiter *rateLimiter // nil when no tenant rate is configured
@@ -239,10 +239,10 @@ func NewManager(cfg Config) *Manager {
 		weights := cfg.TenantWeights
 		weight = func(tenant string) int { return weights[tenant] }
 	}
+	evicted := func(string) { cfg.Stats.Add(metrics.SvcCacheEvict, 1) }
 	m := &Manager{
 		cfg:        cfg,
-		cache:      NewCache(cfg.CacheBytes, cfg.Stats),
-		disk:       cfg.Disk,
+		results:    store.New(cfg.CacheBytes, cfg.Disk, evicted),
 		stats:      cfg.Stats,
 		tenants:    cfg.Tenants,
 		limiter:    newRateLimiter(cfg.TenantRate, cfg.TenantBurst),
@@ -259,35 +259,26 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Cache exposes the result store (the HTTP layer reports its size).
-func (m *Manager) Cache() *Cache { return m.cache }
-
-// Disk exposes the persistent result store; nil when none is attached.
-func (m *Manager) Disk() *DiskStore { return m.disk }
-
-// lookup answers a key from memory, then from the disk store
-// (promoting the hit into memory). The disk store does its own hit
-// accounting; memory hits are counted by the caller.
-func (m *Manager) lookup(key string) ([]byte, bool, bool) {
-	if data, ok := m.cache.Get(key); ok {
-		return data, true, true
-	}
-	if m.disk != nil {
-		if data, ok := m.disk.Get(key); ok {
-			m.cache.Put(key, data)
-			return data, true, false
-		}
-	}
-	return nil, false, false
+// NewDiskStore opens a persistent result store; it forwards to
+// store.OpenDisk and is kept only for the benchmark module
+// (perfbench), its sole caller.
+func NewDiskStore(dir string, budgetBytes int64, stats *metrics.ServiceStats) (*store.Disk, error) {
+	return store.OpenDisk(dir, budgetBytes, stats)
 }
 
-// Lookup serves a result straight from the cache — the in-memory LRU
-// first, then the persistent disk store when one is attached. It does
-// not create a job; misses are uncounted (the caller follows up with
-// Submit, which does the miss accounting).
+// Results exposes the result store: the in-memory tier and, through
+// its Disk method, the persistent tier (the HTTP layer reports their
+// sizes).
+func (m *Manager) Results() *store.Store { return m.results }
+
+// Lookup serves a result straight from the result store — memory
+// first, then the persistent disk tier when one is attached. Only
+// memory hits count as cache hits (the disk tier counts its own). It
+// does not create a job; misses are uncounted (the caller follows up
+// with Submit, which does the miss accounting).
 func (m *Manager) Lookup(key string) ([]byte, bool) {
-	data, ok, mem := m.lookup(key)
-	if ok && mem {
+	data, mem, ok := m.results.Get(key)
+	if mem {
 		m.stats.Add(metrics.SvcCacheHit, 1)
 	}
 	return data, ok
@@ -305,10 +296,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 	// Cache check (memory, then disk) under the manager lock so a
 	// result installed between check and enqueue cannot be missed.
-	if data, ok, mem := m.lookup(req.Key); ok {
-		if mem {
-			m.stats.Add(metrics.SvcCacheHit, 1)
-		}
+	if data, ok := m.Lookup(req.Key); ok {
 		j := m.newJobLocked(req)
 		j.cellsDone.Store(uint64(req.Cells))
 		j.state = StateDone
@@ -499,10 +487,7 @@ func (m *Manager) runJob(j *Job) {
 	})
 	switch {
 	case err == nil:
-		m.cache.Put(j.Key, data)
-		if m.disk != nil {
-			m.disk.Put(j.Key, data)
-		}
+		m.results.Put(j.Key, data)
 		m.stats.Add(metrics.SvcJobsDone, 1)
 		m.tenants.Add(j.Tenant, metrics.TenantDone, 1)
 		finish(StateDone, data, nil)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rampage/internal/metrics"
+	"rampage/internal/store"
 )
 
 func waitCtx(t *testing.T) context.Context {
@@ -422,5 +423,77 @@ func TestCancelQueuedJobDuringDrain(t *testing.T) {
 	}
 	if ranB {
 		t.Error("canceled queued job b still executed its Do")
+	}
+}
+
+// TestManagerDiskIntegration pins the lookup chain: a result computed
+// once is written through to disk; after the in-memory cache is gone
+// (fresh manager, same disk), the disk answers and the job never
+// re-runs.
+func TestManagerDiskIntegration(t *testing.T) {
+	dir := t.TempDir()
+	stats := &metrics.ServiceStats{}
+	disk, err := store.OpenDisk(dir, 0, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs int
+	req := Request{
+		Key:   "cell-1",
+		Cells: 1,
+		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+			runs++
+			progress(nil)
+			return []byte("result-bytes"), nil
+		},
+	}
+
+	m1 := NewManager(Config{Workers: 1, QueueDepth: 4, Stats: stats, Disk: disk})
+	j, err := m1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m1.Wait(context.Background(), j)
+	if err != nil || !bytes.Equal(data, []byte("result-bytes")) {
+		t.Fatalf("Wait = %q, %v", data, err)
+	}
+	drain(t, m1)
+	if runs != 1 {
+		t.Fatalf("runs = %d, want 1", runs)
+	}
+	if _, ok := disk.Get("cell-1"); !ok {
+		t.Fatal("result not written through to disk")
+	}
+
+	// Fresh manager, same disk: Lookup hits disk, promotes to memory,
+	// and Submit never executes.
+	disk2, err := store.OpenDisk(dir, 0, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(Config{Workers: 1, QueueDepth: 4, Stats: stats, Disk: disk2})
+	got, ok := m2.Lookup("cell-1")
+	if !ok || !bytes.Equal(got, []byte("result-bytes")) {
+		t.Fatalf("Lookup after restart = %q, %v", got, ok)
+	}
+	j2, err := m2.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := m2.Wait(context.Background(), j2); err != nil || !bytes.Equal(data, []byte("result-bytes")) {
+		t.Fatalf("Wait after restart = %q, %v", data, err)
+	}
+	drain(t, m2)
+	if runs != 1 {
+		t.Errorf("runs = %d after restart, want 1 (disk hit should skip execution)", runs)
+	}
+}
+
+func drain(t *testing.T, m *Manager) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -35,7 +35,8 @@ const (
 	SvcJobsCanceled
 	// SvcCkptHit is a run warm-started from a stored checkpoint;
 	// SvcCkptMiss one that had to start cold; SvcCkptEvict a checkpoint
-	// spilled or dropped by the store's resident-byte budget. Together
+	// pushed out of memory by the store's resident-byte budget (kept on
+	// disk when the store has a disk tier, dropped otherwise). Together
 	// with the store's byte gauge they make the fleet's warm ratio
 	// observable on /metricsz.
 	SvcCkptHit

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func startFleetWorker(t *testing.T, url, name string) {
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    checkpoint.NewStore(8<<20, nil, nil),
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,
 	})
@@ -139,6 +141,39 @@ func TestDiskStoreServesAcrossRestart(t *testing.T) {
 	}
 	if n := stats.Get(metrics.SvcSimRuns); n != 0 {
 		t.Errorf("restarted server ran %d simulations; want 0 (disk should answer)", n)
+	}
+}
+
+// TestNewRejectsUnusableDiskDirs pins the construction errors: a disk
+// directory that cannot be created fails server.New (and OpenDisks,
+// which worker mode shares) instead of dropping every write, and the
+// result store and the checkpoint tier may not share a directory —
+// both hold the same record format, so each would index and GC the
+// other's files.
+func TestNewRejectsUnusableDiskDirs(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "regular")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, cfg := range map[string]server.Config{
+		"checkpoint dir under a file": {CheckpointDir: filepath.Join(file, "ckpt")},
+		"store dir under a file":      {DiskDir: filepath.Join(file, "res")},
+		"same dir":                    {DiskDir: dir, CheckpointDir: dir},
+		"same dir, uncleaned":         {DiskDir: dir, CheckpointDir: dir + "/./"},
+	} {
+		if svc, err := server.New(cfg); err == nil {
+			ctx, cancel := contextWithTimeout(30 * time.Second)
+			svc.Drain(ctx)
+			cancel()
+			t.Errorf("%s: server.New succeeded", name)
+		}
+	}
+	if _, _, err := server.OpenDisks(dir, 0, filepath.Join(dir, "..", filepath.Base(dir)), nil); err == nil {
+		t.Error("OpenDisks accepted one directory for both tiers")
+	}
+	if res, ckpt, err := server.OpenDisks(filepath.Join(dir, "res"), 0, filepath.Join(dir, "ckpt"), nil); err != nil || res == nil || ckpt == nil {
+		t.Errorf("OpenDisks over two fresh directories = %v, %v, %v", res, ckpt, err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -30,6 +31,7 @@ import (
 	"rampage/internal/jobs"
 	"rampage/internal/metrics"
 	"rampage/internal/policy"
+	"rampage/internal/store"
 )
 
 // Config sizes the service.
@@ -69,10 +71,12 @@ type Config struct {
 	// set.
 	TenantStats *metrics.TenantStats
 	// CheckpointBytes budgets the warm-state checkpoint store's
-	// resident bytes (<= 0 = unlimited); CheckpointDir is its disk
-	// spill directory ("" = evictions are dropped). Every job's runs
-	// share the store, so repeated and extended requests warm-start
-	// from the newest dominating checkpoint.
+	// resident bytes (<= 0 = unlimited). CheckpointDir, when set, roots
+	// its unbudgeted disk tier: every checkpoint is written through and
+	// a restarted server re-indexes them ("" = memory only; evictions
+	// are dropped). It must not be DiskDir. Every job's runs share the
+	// store, so repeated and extended requests warm-start from the
+	// newest dominating checkpoint.
 	CheckpointBytes int64
 	CheckpointDir   string
 	// DiskDir, when set, roots the persistent disk-backed result store
@@ -94,14 +98,13 @@ type Server struct {
 	stats   *metrics.ServiceStats
 	tenants *metrics.TenantStats
 	ckpts   *checkpoint.Store
-	disk    *jobs.DiskStore
 	fleet   *fleet.Coordinator
 	mux     *http.ServeMux
 }
 
 // New builds the service and starts its worker pool. Callers must
-// Drain it on shutdown. The only construction failure is an unusable
-// disk-store directory.
+// Drain it on shutdown. Construction fails only on the disk
+// directories (see OpenDisks).
 func New(cfg Config) (*Server, error) {
 	if cfg.Stats == nil {
 		cfg.Stats = &metrics.ServiceStats{}
@@ -112,20 +115,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 5 * time.Second
 	}
-	var disk *jobs.DiskStore
-	if cfg.DiskDir != "" {
-		d, err := jobs.NewDiskStore(cfg.DiskDir, cfg.DiskBytes, cfg.Stats)
-		if err != nil {
-			return nil, err
-		}
-		disk = d
+	disk, ckptDisk, err := OpenDisks(cfg.DiskDir, cfg.DiskBytes, cfg.CheckpointDir, cfg.Stats)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:     cfg,
 		stats:   cfg.Stats,
 		tenants: cfg.TenantStats,
-		ckpts:   checkpoint.NewStore(cfg.CheckpointBytes, cfg.CheckpointDir, cfg.Stats),
-		disk:    disk,
+		ckpts:   checkpoint.NewStore(cfg.CheckpointBytes, ckptDisk, cfg.Stats),
 		mgr: jobs.NewManager(jobs.Config{
 			Workers:       cfg.Workers,
 			QueueDepth:    cfg.QueueDepth,
@@ -150,6 +148,28 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.routes()
 	return s, nil
+}
+
+// OpenDisks opens a process's disk tiers: the result store under
+// resultDir (budget resultBytes, counted on stats) and the unbudgeted,
+// uncounted checkpoint tier under ckptDir. An empty directory leaves
+// its tier nil. The two must differ: both hold RRS1 records, so two
+// tiers over one directory would index and GC each other's files.
+func OpenDisks(resultDir string, resultBytes int64, ckptDir string, stats *metrics.ServiceStats) (results, ckpts *store.Disk, err error) {
+	if resultDir != "" && ckptDir != "" && filepath.Clean(resultDir) == filepath.Clean(ckptDir) {
+		return nil, nil, fmt.Errorf("server: checkpoint directory %s is also the result store directory", ckptDir)
+	}
+	if resultDir != "" {
+		if results, err = store.OpenDisk(resultDir, resultBytes, stats); err != nil {
+			return nil, nil, err
+		}
+	}
+	if ckptDir != "" {
+		if ckpts, err = store.OpenDisk(ckptDir, 0, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return results, ckpts, nil
 }
 
 func (s *Server) routes() {
@@ -672,8 +692,8 @@ func (s *Server) writeMetricsJSON(w http.ResponseWriter) {
 		"counters": s.stats.Snapshot(),
 		"tenants":  s.tenants.Snapshot(),
 		"cache": map[string]any{
-			"entries": s.mgr.Cache().Len(),
-			"bytes":   s.mgr.Cache().Bytes(),
+			"entries": s.mgr.Results().Len(),
+			"bytes":   s.mgr.Results().Bytes(),
 		},
 		"checkpoints": map[string]any{
 			"entries": s.ckpts.Len(),
@@ -686,10 +706,10 @@ func (s *Server) writeMetricsJSON(w http.ResponseWriter) {
 		"fleet":            s.fleet.Status(),
 		"policy_evictions": policy.EvictionsSnapshot(),
 	}
-	if s.disk != nil {
+	if disk := s.mgr.Results().Disk(); disk != nil {
 		doc["disk"] = map[string]any{
-			"entries": s.disk.Len(),
-			"bytes":   s.disk.Bytes(),
+			"entries": disk.Len(),
+			"bytes":   disk.Bytes(),
 		}
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -732,15 +752,15 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	gauges := []gauge{
 		{"rampage_queue_length", "Jobs accepted but not yet running.", uint64(length)},
 		{"rampage_queue_capacity", "Queue admission bound.", uint64(capacity)},
-		{"rampage_cache_entries", "Result cache entries resident in memory.", uint64(s.mgr.Cache().Len())},
-		{"rampage_cache_bytes", "Result cache resident bytes.", uint64(s.mgr.Cache().Bytes())},
-		{"rampage_checkpoint_entries", "Warm-state checkpoints resident in memory.", uint64(s.ckpts.Len())},
+		{"rampage_cache_entries", "Result cache entries resident in memory.", uint64(s.mgr.Results().Len())},
+		{"rampage_cache_bytes", "Result cache resident bytes.", uint64(s.mgr.Results().Bytes())},
+		{"rampage_checkpoint_entries", "Warm-state checkpoints indexed, resident in memory or held only on disk.", uint64(s.ckpts.Len())},
 		{"rampage_checkpoint_bytes", "Warm-state checkpoint resident bytes.", uint64(s.ckpts.Bytes())},
 	}
-	if s.disk != nil {
+	if disk := s.mgr.Results().Disk(); disk != nil {
 		gauges = append(gauges,
-			gauge{"rampage_disk_entries", "Persistent result-store entries.", uint64(s.disk.Len())},
-			gauge{"rampage_disk_bytes", "Persistent result-store bytes.", uint64(s.disk.Bytes())},
+			gauge{"rampage_disk_entries", "Persistent result-store entries.", uint64(disk.Len())},
+			gauge{"rampage_disk_bytes", "Persistent result-store bytes.", uint64(disk.Bytes())},
 		)
 	}
 	fs := s.fleet.Status()

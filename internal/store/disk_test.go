@@ -1,8 +1,7 @@
-package jobs
+package store
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,11 +12,11 @@ import (
 	"rampage/internal/metrics"
 )
 
-func newDisk(t *testing.T, budget int64) (*DiskStore, string, *metrics.ServiceStats) {
+func newDisk(t *testing.T, budget int64) (*Disk, string, *metrics.ServiceStats) {
 	t.Helper()
 	dir := t.TempDir()
 	stats := &metrics.ServiceStats{}
-	s, err := NewDiskStore(dir, budget, stats)
+	s, err := OpenDisk(dir, budget, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "torn"+diskFileExt), []byte("RRS1 garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewDiskStore(dir, 0, nil)
+	s2, err := OpenDisk(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestDiskStoreRestartRecovery(t *testing.T) {
 		s.Put(key, vals[key])
 	}
 
-	s2, err := NewDiskStore(dir, 0, nil)
+	s2, err := OpenDisk(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +203,7 @@ func TestDiskStoreRestartRecovery(t *testing.T) {
 		}
 	}
 	budget := int64(len(encodeDisk("key-2", vals["key-2"])) + len(encodeDisk("key-3", vals["key-3"])))
-	s3, err := NewDiskStore(dir, budget, nil)
+	s3, err := OpenDisk(dir, budget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,74 +215,24 @@ func TestDiskStoreRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestManagerDiskIntegration pins the lookup chain: a result computed
-// once is written through to disk; after the in-memory cache is gone
-// (fresh manager, same disk), the disk answers and the job never
-// re-runs.
-func TestManagerDiskIntegration(t *testing.T) {
-	dir := t.TempDir()
-	stats := &metrics.ServiceStats{}
-	disk, err := NewDiskStore(dir, 0, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs int
-	req := Request{
-		Key:   "cell-1",
-		Cells: 1,
-		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
-			runs++
-			progress(nil)
-			return []byte("result-bytes"), nil
-		},
-	}
-
-	m1 := NewManager(Config{Workers: 1, QueueDepth: 4, Stats: stats, Disk: disk})
-	j, err := m1.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := m1.Wait(context.Background(), j)
-	if err != nil || !bytes.Equal(data, []byte("result-bytes")) {
-		t.Fatalf("Wait = %q, %v", data, err)
-	}
-	drain(t, m1)
-	if runs != 1 {
-		t.Fatalf("runs = %d, want 1", runs)
-	}
-	if _, ok := disk.Get("cell-1"); !ok {
-		t.Fatal("result not written through to disk")
-	}
-
-	// Fresh manager, same disk: Lookup hits disk, promotes to memory,
-	// and Submit never executes.
-	disk2, err := NewDiskStore(dir, 0, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewManager(Config{Workers: 1, QueueDepth: 4, Stats: stats, Disk: disk2})
-	got, ok := m2.Lookup("cell-1")
-	if !ok || !bytes.Equal(got, []byte("result-bytes")) {
-		t.Fatalf("Lookup after restart = %q, %v", got, ok)
-	}
-	j2, err := m2.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err := m2.Wait(context.Background(), j2); err != nil || !bytes.Equal(data, []byte("result-bytes")) {
-		t.Fatalf("Wait after restart = %q, %v", data, err)
-	}
-	drain(t, m2)
-	if runs != 1 {
-		t.Errorf("runs = %d after restart, want 1 (disk hit should skip execution)", runs)
-	}
-}
-
-func drain(t *testing.T, m *Manager) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := m.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
+// FuzzDiskRecord drives the record parser, which reads bytes from
+// outside the program whenever a directory is re-indexed: it must
+// never panic, and any record it accepts must re-encode to exactly the
+// bytes it was given (one encoding per key and payload).
+func FuzzDiskRecord(f *testing.F) {
+	f.Add(encodeDisk("key", []byte("payload")))
+	f.Add(encodeDisk("", nil))
+	f.Add(encodeDisk("prefix@120000/false", bytes.Repeat([]byte{0xAB}, 64)))
+	f.Add([]byte("RRS1"))
+	f.Add([]byte("RRS1\xff\xff\xff\xff"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		key, payload, ok := splitDisk(raw)
+		if !ok {
+			return
+		}
+		if re := encodeDisk(key, payload); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted record re-encodes differently:\n in: %x\nout: %x", raw, re)
+		}
+	})
 }
