@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -340,5 +342,37 @@ func TestCellsForKeysMatchRunKeys(t *testing.T) {
 			t.Errorf("duplicate key %s", cell.Key)
 		}
 		seen[cell.Key] = true
+	}
+}
+
+// TestRoutesRefuseOversizedBodies pins the request-body bound: a valid
+// request padded past 1 MiB of leading whitespace is refused on every
+// POST endpoint, while the same request unpadded is served.
+func TestRoutesRefuseOversizedBodies(t *testing.T) {
+	c, _ := testCoordinator(t, nil)
+	cs := newCoordServer(t, c)
+	postBody := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(cs.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	register := fmt.Sprintf(`{"version":%d}`, ProtoVersion)
+	if code, raw := postBody("/fleet/v1/register", register); code != http.StatusOK {
+		t.Fatalf("register = %d %s", code, raw)
+	}
+	pad := strings.Repeat(" ", maxRequestBody+1)
+	for _, path := range []string{"register", "lease", "renew", "complete", "deregister"} {
+		code, raw := postBody("/fleet/v1/"+path, pad+register)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "too large") {
+			t.Errorf("oversized %s = %d %s, want 400 naming the size limit", path, code, raw)
+		}
 	}
 }

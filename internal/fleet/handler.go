@@ -84,12 +84,16 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// maxRequestBody bounds a fleet request body. The largest is a
+// CompleteRequest carrying one cell's report, a few KB.
+const maxRequestBody = 1 << 20
+
 func decodeFleet(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		fleetError(w, http.StatusMethodNotAllowed, errors.New("fleet: POST only"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(into); err != nil {
 		fleetError(w, http.StatusBadRequest, err)
 		return false
 	}

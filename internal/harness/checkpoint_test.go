@@ -9,6 +9,7 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/metrics"
+	"rampage/internal/sim"
 	"rampage/internal/store"
 )
 
@@ -396,13 +397,87 @@ func TestGoldenExperimentsCheckpointEquivalence(t *testing.T) {
 // executed. Wide windows, one-reference windows and a run with an
 // observer attached must all store byte-identical checkpoints,
 // or a warm start would silently tie results to the producer's
-// execution path.
+// execution path. The second case stops its budget while a page
+// transfer is in flight: the payload encodes the in-flight page locks,
+// so a wide window that unpinned a landed page at a different
+// reference than the one-reference run would show up in the bytes.
 func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 1000, SizeBytes: 512, SwitchTrace: true}
 	base := ckptTestConfig()
 	base.MaxRefs = 120_000
-	prefix := CheckpointPrefixKey(base, spec)
+	requireCheckpointBytesInvariant(t, base, spec)
 
+	spec = RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 1024, SwitchTrace: true}
+	for tries := 0; ; tries++ {
+		if tries == 50 {
+			t.Fatal("no budget between 150,000 and 199,000 references stops with a page in flight")
+		}
+		base.MaxRefs = 150_000 + uint64(tries)*1_000
+		if lockedFrames(t, base, spec, captureWide(t, base, spec)) > 0 {
+			break
+		}
+	}
+	requireCheckpointBytesInvariant(t, base, spec)
+}
+
+// captureWide runs spec under cfg in wide windows and returns the
+// checkpoint payload it stored.
+func captureWide(t *testing.T, cfg Config, spec RunSpec) []byte {
+	t.Helper()
+	cfg.Checkpoints = checkpoint.NewStore(0, nil, nil)
+	if _, err := Run(context.Background(), cfg, spec); err != nil {
+		t.Fatal(err)
+	}
+	c, _, ok := cfg.Checkpoints.Nearest(CheckpointPrefixKey(cfg, spec), 0)
+	if !ok {
+		t.Fatal("run stored no checkpoint")
+	}
+	return c.Payload
+}
+
+// lockedFrames restores a switch-on-miss payload into a fresh machine
+// and counts the user frames it holds locked for in-flight transfers.
+func lockedFrames(t *testing.T, cfg Config, spec RunSpec, payload []byte) int {
+	t.Helper()
+	params := sim.DefaultParams(spec.IssueMHz)
+	params.Seed = cfg.Seed
+	m, err := sim.NewRAMpage(sim.RAMpageConfig{
+		Params:       params,
+		SRAMBytes:    cfg.SRAMBytes(spec.SizeBytes),
+		PageBytes:    spec.SizeBytes,
+		SwitchOnMiss: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers, err := cfg.Readers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.NewScheduler(m, readers, sim.SchedulerConfig{
+		Quantum: cfg.Quantum, InsertSwitchTrace: spec.SwitchTrace, Seed: cfg.Seed, MaxRefs: cfg.MaxRefs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RestoreState(m, s, payload); err != nil {
+		t.Fatal(err)
+	}
+	locked := 0
+	for f := m.Memory().OSPages(); f < m.Memory().Frames(); f++ {
+		if _, _, valid, _, pinned := m.Memory().FrameInfo(f); valid && pinned {
+			locked++
+		}
+	}
+	return locked
+}
+
+// requireCheckpointBytesInvariant captures spec's checkpoint at
+// base.MaxRefs in wide windows, one-reference windows and with an
+// observer attached, and requires the payloads to be byte-identical.
+func requireCheckpointBytesInvariant(t *testing.T, base Config, spec RunSpec) {
+	t.Helper()
+	prefix := CheckpointPrefixKey(base, spec)
 	capture := func(name string, k int, mutate func(*Config)) []byte {
 		t.Helper()
 		cfg := base
@@ -422,10 +497,10 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	perRef := capture("per-ref", 1, func(c *Config) {})
 	observed := capture("observed", 0, func(c *Config) { c.Observer = metrics.NewCollector(0) })
 	if !bytes.Equal(batched, perRef) {
-		t.Error("per-reference execution produced different checkpoint bytes")
+		t.Errorf("%+v at %d refs: per-reference execution produced different checkpoint bytes", spec, base.MaxRefs)
 	}
 	if !bytes.Equal(batched, observed) {
-		t.Error("attaching an observer changed the checkpoint bytes")
+		t.Errorf("%+v at %d refs: attaching an observer changed the checkpoint bytes", spec, base.MaxRefs)
 	}
 }
 

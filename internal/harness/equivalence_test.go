@@ -7,12 +7,18 @@ import (
 	"testing"
 
 	"rampage/internal/oracle"
+	"rampage/internal/policy"
 	"rampage/internal/stats"
 )
 
 // equivSpecs covers every SystemKind plus the scheduler features that
 // interact with batching: switch traces, switch-on-miss blocking,
-// lightweight threads and the adaptive epoch controller.
+// lightweight threads and the adaptive epoch controller. The further
+// switch-on-miss specs vary what a page in flight looks like to a wide
+// window: prefetches (pending pages keep the per-reference path),
+// pipelined and banked channel timing, a 2-way L1 (no fused loop, so
+// the stop at a page's arrival holds on the slow path) and a non-clock
+// replacement policy.
 var equivSpecs = []RunSpec{
 	{System: BaselineDM, IssueMHz: 1000, SizeBytes: 128},
 	{System: TwoWayL2, IssueMHz: 4000, SizeBytes: 1024, SwitchTrace: true},
@@ -20,6 +26,11 @@ var equivSpecs = []RunSpec{
 	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true},
 	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 128, SwitchTrace: true, LightweightThreads: true},
 	{System: RAMpage, IssueMHz: 4000, SizeBytes: 512, AdaptivePages: true},
+	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true, PrefetchNext: true},
+	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 1024, SwitchTrace: true, PipelinedDRAM: true},
+	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 1024, SwitchTrace: true, BankedDRAM: true},
+	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true, L1Assoc: 2},
+	{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true, Policy: policy.FIFO},
 }
 
 // runNarrow is Run with every workload stream read through
@@ -60,7 +71,7 @@ func requireNarrowEquivalence(t *testing.T, cfg Config, spec RunSpec, k int) {
 
 // TestBatchedPathEquivalence asserts wide windows produce bit-identical
 // reports to one-reference windows for all four systems (plus the
-// threads and adaptive extensions).
+// extensions in equivSpecs).
 func TestBatchedPathEquivalence(t *testing.T) {
 	cfg := tinyConfig()
 	for _, spec := range equivSpecs {
@@ -71,6 +82,20 @@ func TestBatchedPathEquivalence(t *testing.T) {
 		}
 		if spec.AdaptivePages {
 			name += "-adaptive"
+		}
+		for _, feature := range []struct {
+			on     bool
+			suffix string
+		}{
+			{spec.PrefetchNext, "-prefetch"},
+			{spec.PipelinedDRAM, "-pipelined"},
+			{spec.BankedDRAM, "-banked"},
+			{spec.L1Assoc == 2, "-l1-2way"},
+			{spec.Policy != "", "+" + spec.Policy},
+		} {
+			if feature.on {
+				name += feature.suffix
+			}
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

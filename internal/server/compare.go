@@ -48,7 +48,7 @@ func (s *Server) resolveCompareSide(raw json.RawMessage, side string) ([]byte, s
 // the CLI gate would flag is exactly what this endpoint reports.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad compare request: "+err.Error())

@@ -775,8 +775,13 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	}
 }
 
+// maxRequestBody bounds every JSON request body. The largest document
+// a request carries is an inline report in a compare request (the
+// biggest golden is under 100 KB), so 1 MiB leaves ample room.
+const maxRequestBody = 1 << 20
+
 func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)

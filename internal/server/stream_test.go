@@ -820,3 +820,22 @@ func TestStreamTable3GoldenScaleE2E(t *testing.T) {
 		t.Fatalf("streamed table3 differs from the committed golden (%d vs %d bytes)", len(rebuilt), len(golden))
 	}
 }
+
+// TestCompareRefusesOversizedBody pins the compare endpoint's body
+// bound: a valid self-comparison padded past 1 MiB of leading
+// whitespace is refused, while the same request unpadded is served.
+func TestCompareRefusesOversizedBody(t *testing.T) {
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "fig4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"golden":%s,"candidate":%s}`, golden, golden)
+	if code, raw, _ := post(t, ts.URL+"/v1/compare", body); code != http.StatusOK {
+		t.Fatalf("unpadded compare = %d %s", code, raw)
+	}
+	code, raw, _ := post(t, ts.URL+"/v1/compare", strings.Repeat(" ", 1<<20+1)+body)
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), "too large") {
+		t.Errorf("oversized compare = %d %s, want 400 naming the size limit", code, raw)
+	}
+}

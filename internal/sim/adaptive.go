@@ -163,7 +163,8 @@ func (a *AdaptiveRAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 // RAMpage method so the epoch controller still runs. Each sub-batch is
 // capped at the epoch boundary (BenchRefs advances by exactly one per
 // executed application reference), so evaluate fires at precisely the
-// reference it would in one-reference windows.
+// reference it would in one-reference windows. A sub-batch that stops
+// short ends the call, as in RAMpage.ExecBatchColumnar.
 func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	consumed := 0
 	for consumed < len(kinds) {
@@ -186,7 +187,7 @@ func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, ad
 				return consumed, 0, err
 			}
 		}
-		if block != 0 {
+		if block != 0 || n < int(left) {
 			return consumed, block, nil
 		}
 	}

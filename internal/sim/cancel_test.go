@@ -103,8 +103,8 @@ func runProbed(t *testing.T, m Machine, readers []trace.Reader, cfg SchedulerCon
 // TestSchedulerCancellation cancels runs mid-stream and requires Run to
 // return context.Canceled at the next poll with nothing executed after
 // it: wide windows poll once each, so a cancel lands after the current
-// window; one-reference windows share the ctxCheckMask budget, so at
-// most that many more run.
+// window, pages in flight or not; one-reference windows share the
+// ctxCheckMask budget, so at most that many more run.
 func TestSchedulerCancellation(t *testing.T) {
 	refs := faultingStream(0x1000000)
 	cfg := SchedulerConfig{Quantum: 1000, InsertSwitchTrace: true}
@@ -136,7 +136,7 @@ func TestSchedulerCancellation(t *testing.T) {
 
 	t.Run("rampage-cs-1-wide", func(t *testing.T) {
 		readers := func() []trace.Reader {
-			return []trace.Reader{trace.NewSliceReader(refs), trace.NewSliceReader(faultingStream(0x8000000))}
+			return []trace.Reader{oneRefReader{trace.NewSliceReader(refs)}, oneRefReader{trace.NewSliceReader(faultingStream(0x8000000))}}
 		}
 		// Uncanceled: one-reference windows must share the poll budget
 		// instead of polling per reference.
@@ -165,4 +165,37 @@ func TestSchedulerCancellation(t *testing.T) {
 			t.Errorf("%d polls after cancellation, want 1", polls)
 		}
 	})
+
+	// Plain readers keep windows wide while pages are in flight (the
+	// machine ends them at the arrival), so a cancel there lands after
+	// the current window like any other.
+	t.Run("rampage-cs-wide", func(t *testing.T) {
+		readers := []trace.Reader{trace.NewSliceReader(refs), trace.NewSliceReader(faultingStream(0x8000000))}
+		inFlightWide := 0
+		atInFlight := func(p *windowProbe, width int) bool {
+			if width > 1 && len(p.Machine.(*RAMpage).inFlight) > 0 {
+				inFlightWide++
+			}
+			return inFlightWide == 10
+		}
+		probe, err := runProbed(t, testRAMpage(t, 4000, 4096, true), readers, cfg, atInFlight)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled (%d wide windows with a page in flight)", err, inFlightWide)
+		}
+		if probe.afterCancel != 0 {
+			t.Errorf("%d windows ran after the cancelling wide window", probe.afterCancel)
+		}
+		if polls := probe.ctx.polls - probe.pollsAt; polls != 1 {
+			t.Errorf("%d polls after cancellation, want 1", polls)
+		}
+	})
 }
+
+// oneRefReader delivers one reference per ReadBatch and hides any
+// columnar backing, so the scheduler runs one-reference row windows:
+// the paper's reference-at-a-time schedule.
+type oneRefReader struct{ r trace.Reader }
+
+func (o oneRefReader) Next() (mem.Ref, error) { return o.r.Next() }
+
+func (o oneRefReader) ReadBatch(dst []mem.Ref) (int, error) { return trace.ReadBatch(o.r, dst[:1]) }

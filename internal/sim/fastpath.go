@@ -178,8 +178,15 @@ func (r *RAMpage) flushTraceFast(mh *core.Hot, class RefClass, count, translatio
 
 // execTraceFast is RAMpage.ExecTrace's fused loop for handler traces.
 // Kernel references translate by identity bounds check against the
-// pinned OS region and hit SRAM at worst. Called under the same gate as
-// execColsFast; returns the count consumed before a fallback broke it.
+// pinned OS region and hit SRAM at worst. Called with obs == nil,
+// direct-mapped L1s and no prefetch pending; returns the count consumed
+// before a fallback broke that gate.
+//
+// Pages may be in flight. The per-reference path unpins every transfer
+// that has landed before each reference; here the trace runs in slices
+// that end before the clock can reach the earliest arrival (a fused hit
+// advances it by at most one cycle), and the slice boundary does the
+// unpin once the clock gets there. Every fallback re-bounds the slice.
 func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 	mh := &r.mmHot
 	ptFlags, mmShift := mh.PTFlags, mh.PageShift
@@ -188,59 +195,74 @@ func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 	dTags, dBlockShift, dSetMask, dSetShift := dh.Tags, dh.BlockShift, dh.SetMask, dh.SetShift
 	dDirty := dh.Dirty
 	kernelLimit := r.kernelLimit
+	arrival := r.nextArrival()
 	var count, translations, l1iHits, l1dHits, ifetches uint64
-	for i := range refs {
-		ref := refs[i]
-		if ref.PID == mem.KernelPID {
-			off := uint64(ref.Addr) - synth.KernelBase
-			if uint64(ref.Addr) >= synth.KernelBase && off < kernelLimit {
-				count++
-				translations++
-				if ref.Kind == mem.IFetch {
-					block := off >> iBlockShift
-					set := block & iSetMask
-					if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
-						ifetches++
-						l1iHits++
-						continue
-					}
-				} else {
-					if ref.Kind == mem.Store {
-						ptFlags[off>>mmShift] |= pagetable.FlagDirty
-					}
-					block := off >> dBlockShift
-					set := block & dSetMask
-					if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
-						l1dHits++
-						if ref.Kind == mem.Store {
-							dDirty[set] = true
-						}
-						continue
-					}
-				}
-				r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
-				count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
-				r.accessL1(ref.Kind, mem.PAddr(off))
-				continue
-			}
+	done := 0
+slices:
+	for done < len(refs) {
+		if r.rep.Cycles >= arrival {
+			r.unpinCompleted()
+			arrival = r.nextArrival()
 		}
-		// User reference (or out-of-range kernel address): the per-
-		// reference path; it can fault and start transfers, breaking
-		// the gate.
+		slice := refs[done:sliceEnd(done, len(refs), r.rep.Cycles, arrival)]
+		for i := range slice {
+			ref := slice[i]
+			if ref.PID == mem.KernelPID {
+				off := uint64(ref.Addr) - synth.KernelBase
+				if uint64(ref.Addr) >= synth.KernelBase && off < kernelLimit {
+					count++
+					translations++
+					if ref.Kind == mem.IFetch {
+						block := off >> iBlockShift
+						set := block & iSetMask
+						if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
+							ifetches++
+							l1iHits++
+							continue
+						}
+					} else {
+						if ref.Kind == mem.Store {
+							ptFlags[off>>mmShift] |= pagetable.FlagDirty
+						}
+						block := off >> dBlockShift
+						set := block & dSetMask
+						if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
+							l1dHits++
+							if ref.Kind == mem.Store {
+								dDirty[set] = true
+							}
+							continue
+						}
+					}
+					r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
+					count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
+					r.accessL1(ref.Kind, mem.PAddr(off))
+					done += i + 1
+					continue slices
+				}
+			}
+			// User reference (or out-of-range kernel address): the per-
+			// reference path; it can fault and start transfers, breaking
+			// the gate.
+			r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
+			count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
+			block, err := r.execOne(ref, class)
+			if err != nil {
+				return done + i, err
+			}
+			if block != 0 {
+				return done + i, fmt.Errorf("sim: pinned OS reference faulted")
+			}
+			if len(r.pending) != 0 {
+				return done + i + 1, nil
+			}
+			done += i + 1
+			continue slices
+		}
 		r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
 		count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
-		block, err := r.execOne(ref, class)
-		if err != nil {
-			return i, err
-		}
-		if block != 0 {
-			return i, fmt.Errorf("sim: pinned OS reference faulted")
-		}
-		if len(r.inFlight) != 0 || len(r.pending) != 0 {
-			return i + 1, nil
-		}
+		done += len(slice)
 	}
-	r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
 	return len(refs), nil
 }
 
@@ -333,16 +355,29 @@ func (b *Baseline) execColsFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VA
 	return len(kinds), 0, nil
 }
 
-// ExecBatchColumnar implements Machine. The fast path — no transfers
-// in flight, a user reference whose translation hits the TLB — skips
-// the per-reference event machinery entirely; TLB misses, faults and
-// any in-flight-page bookkeeping fall back to the per-reference path.
-// A blocking reference stops the batch unconsumed.
+// ExecBatchColumnar implements Machine. The fast path — a user
+// reference whose translation hits the TLB — skips the per-reference
+// event machinery entirely; TLB misses, faults and pending prefetches
+// fall back to the per-reference path. A blocking reference stops the
+// batch unconsumed.
+//
+// While pages are in flight the batch also stops, with a nil error and
+// no block time, just before the first reference that would start at
+// or after the earliest arrival: the scheduler's resume-on-arrival
+// check runs between windows, so it sees exactly the references the
+// one-reference model shows it. The arrival is fixed on entry and only
+// lowered afterwards: a TLB-miss handler inside the batch may unpin the
+// page that has just landed, and the stop must still hold.
 func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+	r.unpinCompleted()
+	arrival := r.nextArrival()
 	i := 0
 	for i < len(kinds) {
-		if r.fast.ok && r.obs == nil && pid != mem.KernelPID && len(r.inFlight) == 0 && len(r.pending) == 0 {
-			n, block, err := r.execColsFast(pid, kinds[i:], addrs[i:])
+		if r.rep.Cycles >= arrival {
+			return i, 0, nil
+		}
+		if r.fast.ok && r.obs == nil && pid != mem.KernelPID && len(r.pending) == 0 {
+			n, block, err := r.execColsFast(pid, kinds[i:], addrs[i:], arrival)
 			i += n
 			if err != nil {
 				return i, 0, err
@@ -350,10 +385,11 @@ func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []me
 			if block != 0 {
 				return i, block, nil
 			}
+			arrival = min(arrival, r.nextArrival())
 			continue
 		}
 		ref := mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
-		if len(r.inFlight) == 0 && len(r.pending) == 0 {
+		if len(r.pending) == 0 {
 			if pa, ok := r.mm.TranslateHit(pid, ref.Addr, ref.Kind == mem.Store); ok {
 				r.rep.TLBHits++
 				r.rep.BenchRefs++
@@ -369,17 +405,31 @@ func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []me
 		if block != 0 {
 			return i, block, nil
 		}
+		arrival = min(arrival, r.nextArrival())
 		i++
 	}
 	return len(kinds), 0, nil
 }
 
+// sliceEnd bounds the next fused slice of a window that runs from done
+// to n: a fused hit advances the clock by at most one cycle, so none of
+// the next arrival−now references starts at or after arrival. Called
+// only with now < arrival.
+func sliceEnd(done, n int, now, arrival mem.Cycles) int {
+	if span := arrival - now; span < mem.Cycles(n-done) {
+		return done + int(span)
+	}
+	return n
+}
+
 // execColsFast is RAMpage.ExecBatchColumnar's fused inner loop (see
 // Baseline.execColsFast for the shape). Only called with obs == nil,
-// direct-mapped L1s, a user PID and no transfers in flight; it returns
-// early (consumed < len(kinds)) when a fallback breaks that gate so the
-// caller can resume on the per-reference path.
-func (r *RAMpage) execColsFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// direct-mapped L1s, a user PID, no prefetch pending and the clock
+// before arrival. It runs the window in slices bounded by sliceEnd,
+// re-bounding after every fallback, and returns early (consumed <
+// len(kinds)) when the clock reaches arrival or a fallback breaks the
+// gate, so the caller can stop or resume on the per-reference path.
+func (r *RAMpage) execColsFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, arrival mem.Cycles) (int, mem.Cycles, error) {
 	mh := &r.mmHot
 	th := &mh.TLB
 	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
@@ -390,68 +440,81 @@ func (r *RAMpage) execColsFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAd
 	dTags, dBlockShift, dSetMask, dSetShift := dh.Tags, dh.BlockShift, dh.SetMask, dh.SetShift
 	dDirty := dh.Dirty
 	pidTerm := uint64(pid)
-	addrs = addrs[:len(kinds)]
 	var tlbHits, l1iHits, l1dHits, ifetches uint64
-	for i := range kinds {
-		kind, addr := kinds[i], uint64(addrs[i])
-		vpn := addr >> pageShift
-		key := tlb.PackKey(pid, vpn)
-		fidx := (vpn ^ pidTerm) & tlb.FilterMask
-		fi := uint64(filter[fidx])
-		var pa uint64
-		hit := keys[fi] == key && vpns[fi] == vpn
-		if hit {
-			pa = frames[fi]<<pageShift | addr&offMask
-		} else {
-			pa, hit = tlbScan(th, key, vpn, fidx, addr)
+	done := 0
+slices:
+	for done < len(kinds) {
+		if r.rep.Cycles >= arrival {
+			return done, 0, nil
 		}
-		if hit {
-			tlbHits++
-			if kind == mem.IFetch {
-				block := pa >> iBlockShift
-				set := block & iSetMask
-				if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
-					ifetches++
-					l1iHits++
-					continue
-				}
+		end := sliceEnd(done, len(kinds), r.rep.Cycles, arrival)
+		ks, as := kinds[done:end], addrs[done:end]
+		for i := range ks {
+			kind, addr := ks[i], uint64(as[i])
+			vpn := addr >> pageShift
+			key := tlb.PackKey(pid, vpn)
+			fidx := (vpn ^ pidTerm) & tlb.FilterMask
+			fi := uint64(filter[fidx])
+			var pa uint64
+			hit := keys[fi] == key && vpns[fi] == vpn
+			if hit {
+				pa = frames[fi]<<pageShift | addr&offMask
 			} else {
-				if kind == mem.Store {
-					ptFlags[pa>>mmShift] |= pagetable.FlagDirty
-				}
-				block := pa >> dBlockShift
-				set := block & dSetMask
-				if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
-					l1dHits++
-					if kind == mem.Store {
-						dDirty[set] = true
-					}
-					continue
-				}
+				pa, hit = tlbScan(th, key, vpn, fidx, addr)
 			}
+			if hit {
+				tlbHits++
+				if kind == mem.IFetch {
+					block := pa >> iBlockShift
+					set := block & iSetMask
+					if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
+						ifetches++
+						l1iHits++
+						continue
+					}
+				} else {
+					if kind == mem.Store {
+						ptFlags[pa>>mmShift] |= pagetable.FlagDirty
+					}
+					block := pa >> dBlockShift
+					set := block & dSetMask
+					if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
+						l1dHits++
+						if kind == mem.Store {
+							dDirty[set] = true
+						}
+						continue
+					}
+				}
+				r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
+				tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
+				r.accessL1(kind, mem.PAddr(pa))
+				done += i + 1
+				continue slices
+			}
+			// True TLB miss: the per-reference miss machinery. The gate
+			// held on entry and after every previous fallback.
 			r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
 			tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-			r.accessL1(kind, mem.PAddr(pa))
-			continue
+			block, err := r.execOne(mem.Ref{PID: pid, Kind: kind, Addr: as[i]}, ClassBench)
+			if err != nil {
+				return done + i, 0, err
+			}
+			if block != 0 {
+				return done + i, block, nil
+			}
+			if len(r.pending) != 0 {
+				// A prefetch is pending: the fast gate is broken, resume
+				// per-reference.
+				return done + i + 1, 0, nil
+			}
+			done += i + 1
+			continue slices
 		}
-		// True TLB miss: the per-reference miss machinery. The gate held
-		// on entry and after every previous fallback.
 		r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
 		tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-		block, err := r.execOne(mem.Ref{PID: pid, Kind: kind, Addr: addrs[i]}, ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
-		}
-		if len(r.inFlight) != 0 || len(r.pending) != 0 {
-			// A fault or prefetch put transfers in flight: the fast
-			// gate is broken, resume per-reference.
-			return i + 1, 0, nil
-		}
+		done = end
 	}
-	r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
 	return len(kinds), 0, nil
 }
 

@@ -46,9 +46,14 @@ type Machine interface {
 // len(kinds) with a nil error and a non-zero blockUntil, reference
 // consumed faulted with its page arriving at blockUntil (only a
 // RAMpage machine in switch-on-miss mode blocks): it did NOT execute
-// and must be retried after that time. A window of one reference is
-// exactly the paper's reference-at-a-time model; wider windows give
-// bit-identical reports.
+// and must be retried after that time. When consumed < len(kinds) with
+// a nil error and a zero blockUntil, the machine stopped because a page
+// transfer in flight completes before reference consumed would start
+// (RAMpage stops before the first reference that would start at or
+// after the earliest arrival); the caller offers the rest again after
+// its own arrival checks. A window of one reference is exactly the
+// paper's reference-at-a-time model; wider windows give bit-identical
+// reports.
 type ColumnarMachine interface {
 	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (consumed int, blockUntil mem.Cycles, err error)
 }
@@ -66,7 +71,8 @@ type rowScratch struct {
 
 // execRows is the row ExecBatch adapter every machine shares: it copies
 // each same-PID run of refs, at most rowWindow references at a time,
-// into sc and executes it with m's ExecBatchColumnar.
+// into sc and executes it with m's ExecBatchColumnar. A run that stops
+// short ends the batch there, blocked or not.
 func execRows(m ColumnarMachine, sc *rowScratch, refs []mem.Ref) (int, mem.Cycles, error) {
 	done := 0
 	for done < len(refs) {
@@ -77,7 +83,7 @@ func execRows(m ColumnarMachine, sc *rowScratch, refs []mem.Ref) (int, mem.Cycle
 		}
 		consumed, block, err := m.ExecBatchColumnar(pid, sc.kinds[:n], sc.addrs[:n])
 		done += consumed
-		if err != nil || block != 0 {
+		if err != nil || block != 0 || consumed < n {
 			return done, block, err
 		}
 	}

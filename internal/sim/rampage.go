@@ -153,7 +153,7 @@ func (r *RAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
 // in SRAM (§4.6) and can never fault.
 func (r *RAMpage) ExecTrace(refs []mem.Ref, class RefClass) error {
 	i := 0
-	if r.fast.ok && r.obs == nil && len(r.inFlight) == 0 && len(r.pending) == 0 {
+	if r.fast.ok && r.obs == nil && len(r.pending) == 0 {
 		n, err := r.execTraceFast(refs, class)
 		if err != nil {
 			return err
@@ -306,6 +306,19 @@ func (r *RAMpage) unpinCompleted() {
 		}
 	}
 	r.inFlight = kept
+}
+
+// noArrival is nextArrival's answer when no transfer is in flight.
+const noArrival = ^mem.Cycles(0)
+
+// nextArrival returns the earliest completion time of the in-flight
+// page transfers, or noArrival.
+func (r *RAMpage) nextArrival() mem.Cycles {
+	arrival := noArrival
+	for _, p := range r.inFlight {
+		arrival = min(arrival, p.ready)
+	}
+	return arrival
 }
 
 // handleFault runs the page-fault handler trace, purges the victim

@@ -214,9 +214,10 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 // ctxCheckMask throttles context-cancellation polls: ctx.Err takes a
 // lock, so the loop asks once per 1024 iterations. A window wider than
 // one reference spends the whole budget, so wide windows poll once
-// each and only runs of one-reference windows (pages in flight)
-// amortize. Cancellation latency stays far below any human-visible
-// delay while the steady-state cost is one counter decrement.
+// each and only runs of one-reference windows (a reader that yields
+// one reference at a time) amortize. Cancellation latency stays far
+// below any human-visible delay while the steady-state cost is one
+// counter decrement.
 const ctxCheckMask = 1<<10 - 1
 
 // Run executes the workload to completion and returns the machine's
@@ -230,12 +231,14 @@ const ctxCheckMask = 1<<10 - 1
 //
 //   - the window never exceeds the slice remainder, so quantum
 //     boundaries land on exactly the same reference;
-//   - while any page is in flight (wakeAt != 0) the window is a single
-//     reference, preserving the per-reference resume-on-arrival
-//     preemption check and the stall-retry path;
 //   - MaxRefs caps the window;
+//   - the machine ends a window early, unblocked, just before the first
+//     reference that would start at or after the earliest in-flight
+//     page arrival, so the loop-top resume-on-arrival preemption runs
+//     at exactly the reference it would with one-reference windows;
 //   - a blocking reference is left unconsumed at the stream cursor and
-//     retried after its page arrives.
+//     retried after its page arrives (or, with a page already in
+//     flight, after the machine stalls until its own page lands).
 func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,9 +297,6 @@ func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 		window := uint64(avail)
 		if window > p.sliceLeft {
 			window = p.sliceLeft
-		}
-		if s.wakeAt != 0 {
-			window = 1 // per-reference checks while transfers are in flight
 		}
 		if s.cfg.MaxRefs > 0 {
 			if left := s.cfg.MaxRefs - s.executed; window > left {
