@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -149,21 +151,61 @@ func TestTable2Experiment(t *testing.T) {
 	}
 }
 
+// tinyGolden holds every experiment's text output at tinyConfig over a
+// two-rate, two-size grid, each section headed "=== <id> ===".
+const tinyGolden = "testdata/experiments_tiny.golden"
+
+// tinyExperimentsText renders every registered experiment at tinyConfig
+// in the layout of tinyGolden.
+func tinyExperimentsText(t *testing.T) string {
+	t.Helper()
+	cfg := tinyConfig()
+	rates := []uint64{200, 4000}
+	sizes := []uint64{256, 2048}
+	var b strings.Builder
+	for _, e := range Experiments() {
+		out, err := e.Run(context.Background(), cfg, rates, sizes)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if len(out) == 0 {
+			t.Errorf("%s: empty output", e.ID)
+		}
+		fmt.Fprintf(&b, "=== %s ===\n%s\n", e.ID, out)
+	}
+	return b.String()
+}
+
+// TestAllSimulationExperimentsRunTiny pins every experiment's text
+// rendering byte-for-byte, so moving a renderer or the cells behind it
+// cannot change what it prints.
 func TestAllSimulationExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	cfg := tinyConfig()
-	rates := []uint64{200, 4000}
-	sizes := []uint64{256, 2048}
-	for _, e := range Experiments() {
-		out, err := e.Run(context.Background(), cfg, rates, sizes)
-		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
+	want, err := os.ReadFile(tinyGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tinyExperimentsText(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	section := ""
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
 		}
-		if len(out) == 0 {
-			t.Errorf("%s: empty output", e.ID)
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if strings.HasPrefix(w, "=== ") {
+			section = w
+		}
+		if g != w {
+			t.Fatalf("%s: text differs from %s at line %d:\n got: %q\nwant: %q", section, tinyGolden, i+1, g, w)
 		}
 	}
 }
