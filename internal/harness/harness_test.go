@@ -261,3 +261,38 @@ func TestSystemKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepWorkloadMatchesRun pins that a sweep replays the workload its
+// own configuration names. The captured-workload cache outlives a
+// sweep, so a single-program or first-N-programs sweep that follows a
+// full-workload sweep must not be served the full workload's capture.
+func TestSweepWorkloadMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	cfg := tinyConfig()
+	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 1024}
+	if _, err := SweepSpec(ctx, cfg, spec, []uint64{1000}, []uint64{1024}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"profile sed", func(c *Config) { c.ProfileName = "sed" }},
+		{"3 processes", func(c *Config) { c.Processes = 3 }},
+	} {
+		c := cfg
+		tc.edit(&c)
+		want, err := Run(ctx, c, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := SweepSpec(ctx, c, spec, []uint64{1000}, []uint64{1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := grid[0][0]; got.BenchRefs != want.BenchRefs || got.Cycles != want.Cycles {
+			t.Errorf("%s: sweep ran %d bench refs in %d cycles, Run %d in %d",
+				tc.name, got.BenchRefs, got.Cycles, want.BenchRefs, want.Cycles)
+		}
+	}
+}

@@ -351,15 +351,17 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 // form) are regenerated per cell instead of being stored.
 const preloadRefsCap = 64 << 20
 
-// workloadKey identifies a materialized workload. The generated
-// streams depend only on the seed and the two scales (never on a
-// cell's rate, size or system), so sweeps over the same configuration
-// — including successive sweeps in one process, as in benchmarks —
-// can share one capture.
+// workloadKey identifies a materialized workload: every Config field
+// Readers reads (a custom profile set is never cached). The streams
+// never depend on a cell's rate, size or system, so sweeps over the
+// same workload — including successive sweeps in one process, as in
+// benchmarks — can share one capture.
 type workloadKey struct {
 	seed      uint64
 	refScale  float64
 	sizeScale float64
+	processes int
+	profile   string
 }
 
 // workloadCache holds captured workloads across sweeps, keyed by
@@ -379,7 +381,8 @@ const workloadCacheCap = 8
 // runs), a stream's length is unknown, or a stream is not single-
 // process; callers then regenerate per cell as before.
 func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
-	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale}
+	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale,
+		processes: cfg.Processes, profile: cfg.ProfileName}
 	cacheable := cfg.profiles == nil // custom profile sets are not in the key
 	if cacheable {
 		if v, ok := workloadCache.Load(key); ok {
