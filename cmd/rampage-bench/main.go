@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -42,7 +43,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "sweep worker count (0 = one per CPU); results are identical at any setting")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		format   = flag.String("format", "text", "output format: text, json (versioned experiment documents; tables 3-5 and figs 2-4)")
+		format   = flag.String("format", "text", "output format: text, json (versioned experiment documents; "+strings.Join(harness.JSONForms(), " ")+")")
 		outDir   = flag.String("outdir", "", "with -format json: write one <id>.json per experiment here instead of stdout")
 		verify   = flag.Bool("verify", false, "run under the oracle invariant checker: assert machine invariants online and fail on the first violation (results are unchanged, runs are slower)")
 	)
@@ -161,7 +162,7 @@ func runJSON(ctx context.Context, cfg harness.Config, selected []harness.Experim
 				fmt.Fprintf(os.Stderr, "rampage-bench: skipping %s (no JSON form)\n", e.ID)
 				continue
 			}
-			return fmt.Errorf("experiment %q has no JSON form (JSON covers tables 3-5 and figs 2-4)", e.ID)
+			return fmt.Errorf("experiment %q has no JSON form (JSON covers %s)", e.ID, strings.Join(harness.JSONForms(), ", "))
 		}
 		ids = append(ids, e.ID)
 	}

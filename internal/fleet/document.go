@@ -34,10 +34,10 @@ func CellsFor(cfg harness.Config, id string, rates, sizes []uint64) (harness.Exp
 
 // BuildExperimentDoc assembles one experiment document through the
 // fleet: expand the grid to content-addressed cells, Execute them
-// (disk hits, worker leases, local fallback), then fold the per-cell
-// ReportJSON payloads back into the same document BuildExperimentDoc
-// in the harness would have produced — byte-identical, which the
-// equivalence tests pin. progress (may be nil) is called once per
+// (disk hits, worker leases, local fallback), then hand the per-cell
+// ReportJSON payloads to the same ExperimentShape.Doc the harness's
+// BuildExperimentDoc uses — so the bytes match, which the equivalence
+// tests pin. progress (may be nil) is called once per
 // resolved cell with the cell's canonical index (CellSpecs order) and
 // its compact ReportJSON payload, so callers can stream cells live.
 func (c *Coordinator) BuildExperimentDoc(ctx context.Context, cfg harness.Config, id string, rates, sizes []uint64, progress func(i int, report json.RawMessage)) ([]byte, error) {

@@ -55,13 +55,11 @@ func orderCells(cells []CellSpec, ckpts *checkpoint.Store) []CellSpec {
 		cfg := g.wire.Config()
 		cfg.Checkpoints = ckpts
 		specs := make([]harness.RunSpec, len(g.cells))
-		byKey := make(map[harness.RunSpec]CellSpec, len(g.cells))
 		for i, c := range g.cells {
 			specs[i] = c.Spec
-			byKey[c.Spec] = c
 		}
 		for _, pc := range harness.PlanCells(cfg, specs).Cells {
-			out = append(out, byKey[pc.Spec])
+			out = append(out, g.cells[pc.Index])
 		}
 	}
 	return out

@@ -258,7 +258,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
-	plan := PlanSweep(cfg, RAMpage, rates, sizes, false)
+	plan := planCells(cfg, gridCells(RunSpec{System: RAMpage}, rates, sizes))
 	if plan.Warm != len(rates)*len(sizes) || plan.Complete != len(rates)*len(sizes) {
 		t.Errorf("plan after cold sweep: warm=%d complete=%d, want both %d", plan.Warm, plan.Complete, len(rates)*len(sizes))
 	}
@@ -281,8 +281,8 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	}
 }
 
-// TestPlanSweepOrdersWarmFirst pins the planner's ordering contract.
-func TestPlanSweepOrdersWarmFirst(t *testing.T) {
+// TestPlanCellsOrdersWarmFirst pins the planner's ordering contract.
+func TestPlanCellsOrdersWarmFirst(t *testing.T) {
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 60_000
 	cfg.Checkpoints = checkpoint.NewStore(0, nil, nil)
@@ -294,7 +294,11 @@ func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 	if _, err := Run(context.Background(), cfg, spec); err != nil {
 		t.Fatalf("warming run: %v", err)
 	}
-	plan := PlanSweep(cfg, RAMpage, rates, sizes, false)
+	var specs []RunSpec
+	for _, size := range sizes {
+		specs = append(specs, RunSpec{System: RAMpage, IssueMHz: rates[0], SizeBytes: size})
+	}
+	plan := PlanCells(cfg, specs)
 	if plan.Warm != 1 || plan.Complete != 1 {
 		t.Fatalf("plan warm=%d complete=%d, want 1/1", plan.Warm, plan.Complete)
 	}
@@ -308,6 +312,14 @@ func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 		if pc.Complete || pc.Refs != 0 {
 			t.Errorf("cold cell %d marked warm", pc.Spec.SizeBytes)
 		}
+	}
+	for _, pc := range plan.Cells {
+		if specs[pc.Index] != pc.Spec {
+			t.Errorf("planned cell %+v carries index %d of %+v", pc.Spec, pc.Index, specs[pc.Index])
+		}
+	}
+	if got := []int{plan.Cells[1].Index, plan.Cells[2].Index}; got[0] != 0 || got[1] != 2 {
+		t.Errorf("cold cells dispatch as %v, want list order [0 2]", got)
 	}
 }
 

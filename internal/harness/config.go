@@ -62,19 +62,13 @@ type Config struct {
 	// bit-identical). A metrics.Collector is not safe for concurrent
 	// use, so Sweep ignores this field — observers are per-run only.
 	Observer metrics.Observer
-	// CellDone, when non-nil, is invoked by Sweep once per completed
-	// grid cell, from the worker goroutines — it must be safe for
-	// concurrent use. The experiment service uses it for job progress;
-	// it never influences results and is excluded from cache keys.
-	CellDone func()
 	// CellResult, when non-nil, receives each completed cell's report as
-	// the sweep produces it, tagged with the cell's canonical index:
-	// SweepSpec numbers cells rate-major (i*len(sizes)+j) and
-	// BuildExperimentDoc re-bases per system so indices match
-	// ExperimentShape.CellSpecs order. Like CellDone it is called from
-	// the worker goroutines (must be concurrency-safe), never influences
-	// results, and is excluded from cache keys. The experiment service
-	// streams these as live job events.
+	// the cell runner produces it, tagged with the cell's index in the
+	// run: rate-major (i*len(sizes)+j) for SweepSpec, CellSpecs order
+	// for BuildExperimentDoc. It is called from the worker goroutines
+	// (must be concurrency-safe), never influences results, and is
+	// excluded from cache keys. The experiment service streams these as
+	// job progress and live cell events.
 	CellResult func(index int, rep ReportJSON)
 	// Checkpoints, when non-nil, attaches a warm-state checkpoint store:
 	// runs capture their final machine+scheduler state and later runs of

@@ -8,6 +8,7 @@ import (
 
 	"rampage/internal/dram"
 	"rampage/internal/mem"
+	"rampage/internal/policy"
 	"rampage/internal/stats"
 	"rampage/internal/synth"
 )
@@ -22,25 +23,97 @@ type Experiment struct {
 	// Run executes the experiment under cfg with the given issue-rate
 	// and size sweeps (empty slices select the paper defaults).
 	Run func(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error)
+
+	// grid is the sweep of an experiment with a JSON form: its systems
+	// and, for the figures, the pinned issue rate (RatesMHz). ShapeOf
+	// resolves it under a requested grid. nil for text-only
+	// experiments.
+	grid *ExperimentShape
+}
+
+// plan is a simulated experiment under one requested grid: the cells
+// it needs and the renderer that turns their reports, aligned with
+// cells, into the result text.
+type plan struct {
+	cells  []cell
+	render func(reports []*stats.Report) string
+}
+
+// simulated registers an experiment that declares its cells under the
+// requested grid (the paper defaults already applied to empty slices);
+// Run simulates them with runCells and renders their reports.
+func simulated(id, title string, declare func(rates, sizes []uint64) plan) Experiment {
+	run := func(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
+		p := declare(defRates(rates), defSizes(sizes))
+		reports, err := runCells(ctx, cfg, p.cells)
+		if err != nil {
+			return "", err
+		}
+		return p.render(reports), nil
+	}
+	return Experiment{ID: id, Title: title, Run: run}
+}
+
+// gridded registers an experiment with a JSON form: its cells are its
+// document's CellSpecs, and its text renders from the same reports,
+// split into one [rate][size] grid per system.
+func gridded(id, title string, grid ExperimentShape, render func(sh ExperimentShape, grids [][][]*stats.Report) string) Experiment {
+	e := simulated(id, title, func(rates, sizes []uint64) plan {
+		sh := grid.resolve(id, title, rates, sizes)
+		return plan{specCells(sh.CellSpecs()), func(reports []*stats.Report) string {
+			return render(sh, sh.grids(reports))
+		}}
+	})
+	e.grid = &grid
+	return e
 }
 
 // Experiments returns the registry, in paper order.
 func Experiments() []Experiment {
-	return append([]Experiment{
-		{"table1", "Table 1: % bandwidth efficiency, Direct Rambus vs disk", runTable1},
-		{"table2", "Table 2: workload inventory (synthetic profiles)", runTable2},
-		{"table3", "Table 3: run times, baseline direct-mapped L2 vs RAMpage", runTable3},
-		{"table4", "Table 4: RAMpage with context switches on misses", runTable4},
-		{"table5", "Table 5: 2-way associative L2 with context switches", runTable5},
-		{"fig2", "Figure 2: fraction of time per level, 200MHz", runFig2},
-		{"fig3", "Figure 3: fraction of time per level, 4GHz", runFig3},
-		{"fig4", "Figure 4: TLB miss + page fault handling overheads", runFig4},
-		{"fig5", "Figure 5: RAMpage-CS vs 2-way L2 relative speed", runFig5},
-		{"bigtlb", "Ablation X1 (§6.3): 1K-entry 2-way TLB", runBigTLB},
-		{"pipelined", "Ablation X2 (§6.3): pipelined Direct Rambus", runPipelined},
-		{"victim", "Ablation X3 (§3.2): victim cache on the baseline", runVictim},
-		{"biglone", "Ablation (§6.3): aggressive 64KB 8-way L1", runBigL1},
-	}, extensionExperiments()...)
+	paired := []SystemKind{BaselineDM, RAMpage}
+	noTrace := []bool{false, false}
+	return []Experiment{
+		{ID: "table1", Title: "Table 1: % bandwidth efficiency, Direct Rambus vs disk", Run: runTable1},
+		{ID: "table2", Title: "Table 2: workload inventory (synthetic profiles)", Run: runTable2},
+		gridded("table3", "Table 3: run times, baseline direct-mapped L2 vs RAMpage",
+			ExperimentShape{Systems: paired, SwitchTrace: noTrace}, renderTable3),
+		gridded("table4", "Table 4: RAMpage with context switches on misses",
+			ExperimentShape{Systems: []SystemKind{RAMpageCS, RAMpage}, SwitchTrace: []bool{true, false}}, renderTable4),
+		gridded("table5", "Table 5: 2-way associative L2 with context switches",
+			ExperimentShape{Systems: []SystemKind{TwoWayL2}, SwitchTrace: []bool{true}}, renderTable5),
+		gridded("fig2", "Figure 2: fraction of time per level, 200MHz",
+			ExperimentShape{RatesMHz: []uint64{200}, Systems: paired, SwitchTrace: noTrace}, renderFigLevels),
+		gridded("fig3", "Figure 3: fraction of time per level, 4GHz",
+			ExperimentShape{RatesMHz: []uint64{4000}, Systems: paired, SwitchTrace: noTrace}, renderFigLevels),
+		gridded("fig4", "Figure 4: TLB miss + page fault handling overheads",
+			ExperimentShape{RatesMHz: []uint64{1000}, Systems: paired, SwitchTrace: noTrace}, renderFig4),
+		simulated("fig5", "Figure 5: RAMpage-CS vs 2-way L2 relative speed", fig5),
+		simulated("bigtlb", "Ablation X1 (§6.3): 1K-entry 2-way TLB", bigTLB),
+		simulated("pipelined", "Ablation X2 (§6.3): pipelined Direct Rambus", pipelined),
+		simulated("victim", "Ablation X3 (§3.2): victim cache on the baseline", victim),
+		simulated("biglone", "Ablation (§6.3): aggressive 64KB 8-way L1", bigL1),
+		// The paper's future-work directions (extensions.go).
+		simulated("sdram", "Extension (§3.3): SDRAM in place of Direct Rambus", sdram),
+		simulated("threads", "Extension (§3.2): lightweight thread switch on miss", threads),
+		simulated("adaptive", "Extension (§6.2): dynamic SRAM page sizing", adaptive),
+		simulated("perbench", "Extension (§6.3): per-program optimal page size", perBench),
+		simulated("prefetch", "Extension (§3.2): sequential next-page prefetch", prefetch),
+		simulated("channels", "Extension (§3.3): multiple Rambus channels", channels),
+		simulated("banked", "Extension (§6.3): banked open-row RDRAM timing", banked),
+		// The policy lab: the RAMpage machine at the paper's 1 GHz
+		// midpoint under every replacement policy, swept across the
+		// page sizes.
+		{ID: "policies", Title: "Policy lab: SRAM page replacement (clock/fifo/random/awrp/bandwidth)", Run: runPolicies,
+			grid: &ExperimentShape{
+				RatesMHz:    []uint64{1000},
+				Systems:     []SystemKind{RAMpage, RAMpage, RAMpage, RAMpage, RAMpage},
+				SwitchTrace: []bool{false, false, false, false, false},
+				Policies:    []string{policy.Clock, policy.FIFO, policy.Random, policy.AWRP, policy.Bandwidth},
+			}},
+		simulated("verdict", "Self-check: every paper claim, PASS/FAIL", paperClaims),
+		simulated("phased", "Extension (§6.2): adaptive paging on a phased workload", phased),
+		{ID: "warmup", Title: "§4.2 warm-up analysis: references to fill the SRAM", Run: runWarmup},
+	}
 }
 
 // FindExperiment looks up an experiment by ID.
@@ -65,6 +138,58 @@ func defSizes(sizes []uint64) []uint64 {
 		return BlockSizes
 	}
 	return sizes
+}
+
+// atTopRate declares the ablation layout: at the fastest requested
+// issue rate, one row of cells per size with one cell per variant (a
+// spec template the rate and size are filled into). render receives
+// the reports indexed [size][variant].
+func atTopRate(rates, sizes []uint64, variants []RunSpec, render func(rows [][]*stats.Report) string) plan {
+	mhz := rates[len(rates)-1]
+	cells := make([]cell, 0, len(sizes)*len(variants))
+	for _, size := range sizes {
+		for _, v := range variants {
+			v.IssueMHz, v.SizeBytes = mhz, size
+			cells = append(cells, cell{spec: v})
+		}
+	}
+	return plan{cells, func(reports []*stats.Report) string {
+		return render(chunk(reports, len(variants)))
+	}}
+}
+
+// column is one variant of a run-time table: its header and the spec
+// template its cells run.
+type column struct {
+	name string
+	spec RunSpec
+}
+
+// secondsTable declares the common ablation table: atTopRate's cells,
+// rendered under title as one line per size with each column's run
+// time in seconds, width characters wide.
+func secondsTable(rates, sizes []uint64, title, first string, width int, cols ...column) plan {
+	variants := make([]RunSpec, len(cols))
+	for k, c := range cols {
+		variants[k] = c.spec
+	}
+	return atTopRate(rates, sizes, variants, func(rows [][]*stats.Report) string {
+		var b strings.Builder
+		b.WriteString(title)
+		fmt.Fprintf(&b, "%-10s", first)
+		for _, c := range cols {
+			fmt.Fprintf(&b, " %*s", width, c.name)
+		}
+		b.WriteString("\n")
+		for j, size := range sizes {
+			fmt.Fprintf(&b, "%-10s", mem.FormatSize(size))
+			for _, r := range rows[j] {
+				fmt.Fprintf(&b, " %*.4f", width, r.Seconds())
+			}
+			b.WriteString("\n")
+		}
+		return b.String()
+	})
 }
 
 // --- Table 1 ---
@@ -93,16 +218,9 @@ func runTable2(ctx context.Context, cfg Config, _, _ []uint64) (string, error) {
 
 // --- Table 3 ---
 
-func runTable3(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	base, err := Sweep(ctx, cfg, BaselineDM, rates, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	rp, err := Sweep(ctx, cfg, RAMpage, rates, sizes, false)
-	if err != nil {
-		return "", err
-	}
+func renderTable3(sh ExperimentShape, g [][][]*stats.Report) string {
+	rates, sizes := sh.RatesMHz, sh.SizesBytes
+	base, rp := g[0], g[1]
 	var b strings.Builder
 	b.WriteString("Elapsed simulated time (s); per issue rate: baseline direct-mapped L2 on top, RAMpage below.\n")
 	b.WriteString(formatPairedGrid(rates, sizes, base, rp))
@@ -115,21 +233,14 @@ func runTable3(ctx context.Context, cfg Config, rates, sizes []uint64) (string, 
 			mem.MustClock(mhz), bb.Seconds(), mem.FormatSize(sizes[bi]),
 			rr.Seconds(), mem.FormatSize(sizes[ri]), 100*gain)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // --- Table 4 ---
 
-func runTable4(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	cs, err := Sweep(ctx, cfg, RAMpageCS, rates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-	plain, err := Sweep(ctx, cfg, RAMpage, rates, sizes, false)
-	if err != nil {
-		return "", err
-	}
+func renderTable4(sh ExperimentShape, g [][][]*stats.Report) string {
+	rates, sizes := sh.RatesMHz, sh.SizesBytes
+	cs, plain := g[0], g[1]
 	var b strings.Builder
 	b.WriteString("RAMpage with context switches on misses: run times (s) and speedup vs RAMpage without switches.\n")
 	b.WriteString(formatGrid(rates, sizes, cs, func(r *stats.Report) string {
@@ -145,44 +256,31 @@ func runTable4(ctx context.Context, cfg Config, rates, sizes []uint64) (string, 
 		_, bp := Best(plain[i])
 		fmt.Fprintf(&b, "  %7s: %.3fx\n", mem.MustClock(mhz), float64(bp.Cycles)/float64(bc.Cycles))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // --- Table 5 ---
 
-func runTable5(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	tw, err := Sweep(ctx, cfg, TwoWayL2, rates, sizes, true)
-	if err != nil {
-		return "", err
-	}
+func renderTable5(sh ExperimentShape, g [][][]*stats.Report) string {
 	var b strings.Builder
 	b.WriteString("2-way associative L2 (random replacement) with context-switch traces: run times (s).\n")
-	b.WriteString(formatGrid(rates, sizes, tw, func(r *stats.Report) string {
+	b.WriteString(formatGrid(sh.RatesMHz, sh.SizesBytes, g[0], func(r *stats.Report) string {
 		return fmt.Sprintf("%.4f", r.Seconds())
 	}))
-	return b.String(), nil
+	return b.String()
 }
 
 // --- Figures 2 & 3 ---
 
-func runFigLevels(ctx context.Context, cfg Config, mhz uint64, sizes []uint64) (string, error) {
-	sizes = defSizes(sizes)
-	base, err := Sweep(ctx, cfg, BaselineDM, []uint64{mhz}, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	rp, err := Sweep(ctx, cfg, RAMpage, []uint64{mhz}, sizes, false)
-	if err != nil {
-		return "", err
-	}
+func renderFigLevels(sh ExperimentShape, g [][][]*stats.Report) string {
+	mhz, sizes := sh.RatesMHz[0], sh.SizesBytes
 	var b strings.Builder
 	systems := []struct {
 		name string
 		row  []*stats.Report
 	}{
-		{"direct-mapped L2", base[0]},
-		{"RAMpage", rp[0]},
+		{"direct-mapped L2", g[0][0]},
+		{"RAMpage", g[1][0]},
 	}
 	for _, sys := range systems {
 		name, row := sys.name, sys.row
@@ -207,57 +305,39 @@ func runFigLevels(ctx context.Context, cfg Config, mhz uint64, sizes []uint64) (
 		b.WriteString(stats.FormatLevelBars(row, 60))
 		b.WriteString("\n")
 	}
-	return b.String(), nil
-}
-
-func runFig2(ctx context.Context, cfg Config, _, sizes []uint64) (string, error) {
-	return runFigLevels(ctx, cfg, 200, sizes)
-}
-func runFig3(ctx context.Context, cfg Config, _, sizes []uint64) (string, error) {
-	return runFigLevels(ctx, cfg, 4000, sizes)
+	return b.String()
 }
 
 // --- Figure 4 ---
 
-func runFig4(ctx context.Context, cfg Config, _, sizes []uint64) (string, error) {
-	sizes = defSizes(sizes)
-	base, err := Sweep(ctx, cfg, BaselineDM, []uint64{1000}, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	rp, err := Sweep(ctx, cfg, RAMpage, []uint64{1000}, sizes, false)
-	if err != nil {
-		return "", err
-	}
+func renderFig4(sh ExperimentShape, g [][][]*stats.Report) string {
+	base, rp := g[0][0], g[1][0]
 	var b strings.Builder
 	b.WriteString("TLB miss + page fault handling overhead (handler refs / benchmark refs):\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s\n", "size", "baseline", "rampage")
-	for j, size := range sizes {
+	for j, size := range sh.SizesBytes {
 		fmt.Fprintf(&b, "%-10s %11.1f%% %11.1f%%\n", mem.FormatSize(size),
-			100*base[0][j].OverheadRatio(), 100*rp[0][j].OverheadRatio())
+			100*base[j].OverheadRatio(), 100*rp[j].OverheadRatio())
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // --- Figure 5 ---
 
-func runFig5(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	cs, err := Sweep(ctx, cfg, RAMpageCS, rates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-	tw, err := Sweep(ctx, cfg, TwoWayL2, rates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString("Relative slowdown vs the best time at each issue rate (0 = best; n means 1.n x slower).\n")
-	b.WriteString("\nRAMpage (context switches on misses):\n")
-	b.WriteString(relativeGrid(rates, sizes, cs, tw, true))
-	b.WriteString("\n2-way associative L2:\n")
-	b.WriteString(relativeGrid(rates, sizes, cs, tw, false))
-	return b.String(), nil
+func fig5(rates, sizes []uint64) plan {
+	cells := gridCells(RunSpec{System: RAMpageCS, SwitchTrace: true}, rates, sizes)
+	cells = append(cells, gridCells(RunSpec{System: TwoWayL2, SwitchTrace: true}, rates, sizes)...)
+	return plan{cells, func(reports []*stats.Report) string {
+		g := chunk(chunk(reports, len(sizes)), len(rates))
+		cs, tw := g[0], g[1]
+		var b strings.Builder
+		b.WriteString("Relative slowdown vs the best time at each issue rate (0 = best; n means 1.n x slower).\n")
+		b.WriteString("\nRAMpage (context switches on misses):\n")
+		b.WriteString(relativeGrid(rates, sizes, cs, tw, true))
+		b.WriteString("\n2-way associative L2:\n")
+		b.WriteString(relativeGrid(rates, sizes, cs, tw, false))
+		return b.String()
+	}}
 }
 
 // relativeGrid renders the Figure 5 measure for one of the two systems
@@ -287,84 +367,32 @@ func relativeGrid(rates, sizes []uint64, cs, tw [][]*stats.Report, pickCS bool) 
 
 // --- Ablations ---
 
-func runBigTLB(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("RAMpage run time (s) with the paper TLB (64 fully-assoc) vs a 1K-entry 2-way TLB (§6.3):\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "page", "tlb-64", "tlb-1k")
-	for _, size := range sizes {
-		small, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		big, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, TLBEntries: 1024, TLBAssoc: 2})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f\n", mem.FormatSize(size), small.Seconds(), big.Seconds())
-	}
-	return b.String(), nil
+func bigTLB(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"RAMpage run time (s) with the paper TLB (64 fully-assoc) vs a 1K-entry 2-way TLB (§6.3):\n", "page", 12,
+		column{"tlb-64", RunSpec{System: RAMpage}},
+		column{"tlb-1k", RunSpec{System: RAMpage, TLBEntries: 1024, TLBAssoc: 2}})
 }
 
-func runPipelined(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("RAMpage-CS run time (s), unpipelined vs pipelined Direct Rambus (§6.3):\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "page", "unpipelined", "pipelined")
-	for _, size := range sizes {
-		plain, err := Run(ctx, cfg, RunSpec{System: RAMpageCS, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true})
-		if err != nil {
-			return "", err
-		}
-		pipe, err := Run(ctx, cfg, RunSpec{System: RAMpageCS, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true, PipelinedDRAM: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f\n", mem.FormatSize(size), plain.Seconds(), pipe.Seconds())
-	}
-	return b.String(), nil
+func pipelined(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"RAMpage-CS run time (s), unpipelined vs pipelined Direct Rambus (§6.3):\n", "page", 12,
+		column{"unpipelined", RunSpec{System: RAMpageCS, SwitchTrace: true}},
+		column{"pipelined", RunSpec{System: RAMpageCS, SwitchTrace: true, PipelinedDRAM: true}})
 }
 
-func runVictim(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("Baseline direct-mapped L2 run time (s), with and without a 16-entry victim cache (§3.2):\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "block", "plain", "victim")
-	for _, size := range sizes {
-		plain, err := Run(ctx, cfg, RunSpec{System: BaselineDM, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		vc, err := Run(ctx, cfg, RunSpec{System: BaselineDM, IssueMHz: mhz, SizeBytes: size, VictimEntries: 16})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f\n", mem.FormatSize(size), plain.Seconds(), vc.Seconds())
-	}
-	return b.String(), nil
+func victim(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"Baseline direct-mapped L2 run time (s), with and without a 16-entry victim cache (§3.2):\n", "block", 12,
+		column{"plain", RunSpec{System: BaselineDM}},
+		column{"victim", RunSpec{System: BaselineDM, VictimEntries: 16}})
 }
 
-func runBigL1(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("Run time (s) with the aggressive L1 of §6.3 (64KB each, 8-way):\n")
-	fmt.Fprintf(&b, "%-10s %14s %14s\n", "size", "2way-bigL1", "rampage-bigL1")
-	for _, size := range sizes {
-		tw, err := Run(ctx, cfg, RunSpec{System: TwoWayL2, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true, L1Bytes: 64 << 10, L1Assoc: 8})
-		if err != nil {
-			return "", err
-		}
-		rp, err := Run(ctx, cfg, RunSpec{System: RAMpageCS, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true, L1Bytes: 64 << 10, L1Assoc: 8})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %14.4f %14.4f\n", mem.FormatSize(size), tw.Seconds(), rp.Seconds())
-	}
-	return b.String(), nil
+func bigL1(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"Run time (s) with the aggressive L1 of §6.3 (64KB each, 8-way):\n", "size", 14,
+		column{"2way-bigL1", RunSpec{System: TwoWayL2, SwitchTrace: true, L1Bytes: 64 << 10, L1Assoc: 8}},
+		column{"rampage-bigL1", RunSpec{System: RAMpageCS, SwitchTrace: true, L1Bytes: 64 << 10, L1Assoc: 8}})
 }
 
 // --- grid formatting ---

@@ -13,56 +13,48 @@ import (
 	"rampage/internal/trace"
 )
 
-// extensionExperiments returns the experiments for the paper's
-// future-work directions implemented in this repository (beyond the
-// §6.3 ablations in experiments.go):
+// The experiments for the paper's future-work directions implemented
+// in this repository (beyond the §6.3 ablations in experiments.go):
 //
 //   - sdram: swap the Direct Rambus for the §3.3 wide SDRAM design;
 //   - threads: lightweight thread switches on misses (§3.2);
 //   - adaptive: dynamic SRAM page sizing (§6.2);
 //   - perbench: per-program optimal page size (§6.3 "differences in
 //     individual application behaviour").
-func extensionExperiments() []Experiment {
-	return []Experiment{
-		{"sdram", "Extension (§3.3): SDRAM in place of Direct Rambus", runSDRAM},
-		{"threads", "Extension (§3.2): lightweight thread switch on miss", runThreads},
-		{"adaptive", "Extension (§6.2): dynamic SRAM page sizing", runAdaptive},
-		{"perbench", "Extension (§6.3): per-program optimal page size", runPerBench},
-		{"prefetch", "Extension (§3.2): sequential next-page prefetch", runPrefetch},
-		{"channels", "Extension (§3.3): multiple Rambus channels", runChannels},
-		{"banked", "Extension (§6.3): banked open-row RDRAM timing", runBanked},
-		{"policies", "Policy lab: SRAM page replacement (clock/fifo/random/awrp/bandwidth)", runPolicies},
-		{"verdict", "Self-check: every paper claim, PASS/FAIL", runVerdict},
-		{"phased", "Extension (§6.2): adaptive paging on a phased workload", runPhased},
-		{"warmup", "§4.2 warm-up analysis: references to fill the SRAM", runWarmup},
-	}
-}
 
-// runPolicies is the policy lab's text form: the RAMpage machine at
-// the paper's 1 GHz midpoint under every replacement policy, swept
-// across the page sizes, with PASS/FAIL verdicts on the structural
-// claims the lab depends on. The JSON form of the same grid is the
-// "policies" experiment document (testdata/golden/policies.json).
+// runPolicies is the policy lab's text form, rendered from the cells
+// of the "policies" experiment document (testdata/golden/policies.json):
+// the RAMpage machine at the paper's 1 GHz midpoint under every
+// replacement policy, swept across the page sizes, with PASS/FAIL
+// verdicts on the structural claims the lab depends on.
 func runPolicies(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	sizes = defSizes(sizes)
-	const mhz = 1000
-	type row struct {
-		name    string
-		reports []*stats.Report
+	sh, err := ShapeOf("policies", rates, sizes)
+	if err != nil {
+		return "", err
 	}
-	rows := make([]row, 0, len(policy.Names()))
-	for _, pol := range policy.Names() {
-		reports := make([]*stats.Report, len(sizes))
-		for j, size := range sizes {
-			rep, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, Policy: pol})
-			if err != nil {
-				return "", err
-			}
-			reports[j] = rep
+	reports, err := runCells(ctx, cfg, specCells(sh.CellSpecs()))
+	if err != nil {
+		return "", err
+	}
+	sizes = sh.SizesBytes
+	// The document lists its systems in its own order; the text prints
+	// them in policy.Names() order.
+	byName := make(map[string][]*stats.Report, len(sh.Policies))
+	for i, g := range sh.grids(reports) {
+		name := sh.Policies[i]
+		if name == "" {
+			name = policy.Clock
 		}
-		rows = append(rows, row{pol, reports})
+		byName[name] = g[0]
+	}
+	// P-determinism is an assertion that a repeated simulation is
+	// bit-identical, so the repeat is a real second run.
+	rerun, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: sh.RatesMHz[0], SizeBytes: sizes[len(sizes)-1], Policy: policy.AWRP})
+	if err != nil {
+		return "", err
 	}
 
+	names := policy.Names()
 	var b strings.Builder
 	b.WriteString("SRAM page-replacement policies on the RAMpage machine at 1GHz.\n")
 	b.WriteString("clock is the paper's §4.5 algorithm; fifo/random are baselines; awrp\n")
@@ -73,44 +65,34 @@ func runPolicies(ctx context.Context, cfg Config, rates, sizes []uint64) (string
 		fmt.Fprintf(&b, " %9s", mem.FormatSize(s))
 	}
 	fmt.Fprintf(&b, " %12s\n", "faults@best")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s", r.name)
-		best := 0
-		for j, rep := range r.reports {
+	for _, name := range names {
+		fmt.Fprintf(&b, "%-11s", name)
+		for _, rep := range byName[name] {
 			fmt.Fprintf(&b, " %9.4f", rep.Seconds())
-			if rep.Cycles < r.reports[best].Cycles {
-				best = j
-			}
 		}
-		fmt.Fprintf(&b, " %12d\n", r.reports[best].PageFaults)
+		_, best := Best(byName[name])
+		fmt.Fprintf(&b, " %12d\n", best.PageFaults)
 	}
 
 	// Verdicts: the structural facts the policy dimension guarantees.
-	bestSecs := func(r row) float64 {
-		_, rep := Best(r.reports)
+	bestSecs := func(name string) float64 {
+		_, rep := Best(byName[name])
 		return rep.Seconds()
 	}
+	first := byName[names[0]]
 	sameWork := true
-	for _, r := range rows[1:] {
+	for _, name := range names[1:] {
 		for j := range sizes {
-			if r.reports[j].BenchRefs != rows[0].reports[j].BenchRefs {
+			if byName[name][j].BenchRefs != first[j].BenchRefs {
 				sameWork = false
 			}
 		}
 	}
-	byName := make(map[string]row, len(rows))
-	for _, r := range rows {
-		byName[r.name] = r
-	}
-	rerun, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[len(sizes)-1], Policy: policy.AWRP})
-	if err != nil {
-		return "", err
-	}
-	deterministic := rerun.Cycles == byName[policy.AWRP].reports[len(sizes)-1].Cycles
-	random := bestSecs(byName[policy.Random])
+	deterministic := rerun.Cycles == byName[policy.AWRP][len(sizes)-1].Cycles
+	random := bestSecs(policy.Random)
 	informed := random
 	for _, name := range []string{policy.Clock, policy.AWRP, policy.Bandwidth, policy.FIFO} {
-		if s := bestSecs(byName[name]); s < informed {
+		if s := bestSecs(name); s < informed {
 			informed = s
 		}
 	}
@@ -123,7 +105,7 @@ func runPolicies(ctx context.Context, cfg Config, rates, sizes []uint64) (string
 		fmt.Fprintf(&b, "  [%s] %-12s %s (%s)\n", mark, id, text, detail)
 	}
 	verdict("P-workload", "every policy executes the identical workload", sameWork,
-		fmt.Sprintf("bench refs %d", rows[0].reports[0].BenchRefs))
+		fmt.Sprintf("bench refs %d", first[0].BenchRefs))
 	verdict("P-determinism", "policy runs are bit-reproducible", deterministic,
 		fmt.Sprintf("awrp repeat: %d cycles", rerun.Cycles))
 	verdict("P-informed", "an informed policy beats blind random at its best point", informed <= random,
@@ -232,220 +214,166 @@ func PhasedTable2() []synth.Profile {
 	return profiles
 }
 
-func runPhased(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
+func phased(rates, sizes []uint64) plan {
 	mhz := rates[len(rates)-1]
-	phasedCfg := cfg
-	phasedCfg.profiles = PhasedTable2()
-	var b strings.Builder
-	b.WriteString("Adaptive page sizing on a *phased* workload (input/compute/output\n")
-	b.WriteString("phases per program) — the situation §6.2's dynamic tuning targets.\n")
-	fmt.Fprintf(&b, "%-14s %12s\n", "config", "seconds")
-	var best float64
+	phasedRun := func(spec RunSpec) cell { return cell{spec: spec, wl: workload{phased: true}} }
+	cells := make([]cell, 0, len(sizes)+1)
 	for _, size := range sizes {
-		rep, err := Run(ctx, phasedCfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		if best == 0 || rep.Seconds() < best {
-			best = rep.Seconds()
-		}
-		fmt.Fprintf(&b, "fixed %-8s %12.4f\n", mem.FormatSize(size), rep.Seconds())
+		cells = append(cells, phasedRun(RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size}))
 	}
-	adaptive, err := Run(ctx, phasedCfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[0], AdaptivePages: true})
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "%-14s %12.4f  (%d resizes; best fixed %.4f)\n",
-		"adaptive", adaptive.Seconds(), adaptive.Resizes, best)
-	return b.String(), nil
-}
-
-func runBanked(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("Flat 50ns-per-reference Rambus vs the banked open-row RDRAM model\n")
-	b.WriteString("(§6.3). Row-buffer hits start in 20ns instead of 50ns, so workloads\n")
-	b.WriteString("with DRAM-page locality gain; transfers spanning rows pay per row.\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %12s\n", "size", "base-flat", "base-banked", "rp-flat", "rp-banked")
-	for _, size := range sizes {
-		bf, err := Run(ctx, cfg, RunSpec{System: BaselineDM, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		bb, err := Run(ctx, cfg, RunSpec{System: BaselineDM, IssueMHz: mhz, SizeBytes: size, BankedDRAM: true})
-		if err != nil {
-			return "", err
-		}
-		rf, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		rb, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, BankedDRAM: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f %12.4f %12.4f\n", mem.FormatSize(size),
-			bf.Seconds(), bb.Seconds(), rf.Seconds(), rb.Seconds())
-	}
-	return b.String(), nil
-}
-
-func runChannels(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("RAMpage run time (s) with the DRAM striped across Rambus channels\n")
-	b.WriteString("(§3.3: more channels raise bandwidth but not latency, so big pages\n")
-	b.WriteString("benefit most and the 50ns startup bounds the gain at small pages).\n")
-	fmt.Fprintf(&b, "%-10s %10s %10s %10s\n", "page", "x1", "x2", "x4")
-	for _, size := range sizes {
-		fmt.Fprintf(&b, "%-10s", mem.FormatSize(size))
-		for _, ch := range []int{1, 2, 4} {
-			rep, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, DRAMChannels: ch})
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, " %10.4f", rep.Seconds())
-		}
-		b.WriteString("\n")
-	}
-	return b.String(), nil
-}
-
-func runPrefetch(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("RAMpage run time (s) with sequential next-page prefetch (§3.2:\n")
-	b.WriteString("\"Prefetch could be added to RAMpage\"). Hits/issued shows accuracy.\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %10s %14s\n", "page", "demand", "prefetch", "speedup", "hits/issued")
-	for _, size := range sizes {
-		plain, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		pf, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, PrefetchNext: true})
-		if err != nil {
-			return "", err
-		}
-		ratio := "-"
-		if pf.Prefetches > 0 {
-			ratio = fmt.Sprintf("%d/%d", pf.PrefetchHits, pf.Prefetches)
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f %10.3f %14s\n", mem.FormatSize(size),
-			plain.Seconds(), pf.Seconds(), float64(plain.Cycles)/float64(pf.Cycles), ratio)
-	}
-	return b.String(), nil
-}
-
-func runSDRAM(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	b.WriteString("RAMpage run time (s): Direct Rambus vs the same-peak SDRAM (§3.3).\n")
-	b.WriteString("With equal startup latency and peak bandwidth the two hierarchies are\n")
-	b.WriteString("cycle-identical on width-multiple transfers, demonstrating the paper's\n")
-	b.WriteString("claim that its Rambus model matches an SDRAM implementation.\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "page", "rambus", "sdram")
-	for _, size := range sizes {
-		rambus, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-		if err != nil {
-			return "", err
-		}
-		sdram, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size, SDRAM: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f\n", mem.FormatSize(size), rambus.Seconds(), sdram.Seconds())
-	}
-	return b.String(), nil
-}
-
-func runThreads(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	mhz := rates[len(rates)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "RAMpage with switches on misses: full process switch (~%d refs) vs\n",
-		synth.ContextSwitchRefCount())
-	fmt.Fprintf(&b, "lightweight thread switch (~%d refs) on miss-induced switches (§3.2).\n",
-		synth.ThreadSwitchRefCount())
-	fmt.Fprintf(&b, "%-10s %12s %12s %10s\n", "page", "process", "thread", "speedup")
-	for _, size := range sizes {
-		proc, err := Run(ctx, cfg, RunSpec{System: RAMpageCS, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true})
-		if err != nil {
-			return "", err
-		}
-		thr, err := Run(ctx, cfg, RunSpec{System: RAMpageCS, IssueMHz: mhz, SizeBytes: size, SwitchTrace: true, LightweightThreads: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.4f %10.3f\n", mem.FormatSize(size),
-			proc.Seconds(), thr.Seconds(), float64(proc.Cycles)/float64(thr.Cycles))
-	}
-	return b.String(), nil
-}
-
-func runAdaptive(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	var b strings.Builder
-	b.WriteString("Dynamic SRAM page sizing (§6.2): a hill-climbing controller\n")
-	b.WriteString("starts at the smallest paper page size and retunes on epoch cost,\n")
-	b.WriteString("paying a full SRAM flush for every probe.\n")
-	fmt.Fprintf(&b, "%-8s %14s %14s %14s %9s\n", "issue", "fixed-128B", "fixed-best", "adaptive", "resizes")
-	for _, mhz := range rates {
-		worst, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[0]})
-		if err != nil {
-			return "", err
-		}
-		var best *struct{ s float64 }
-		for _, size := range sizes {
-			r, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size})
-			if err != nil {
-				return "", err
-			}
-			if best == nil || r.Seconds() < best.s {
-				best = &struct{ s float64 }{r.Seconds()}
-			}
-		}
-		adaptive, err := Run(ctx, cfg, RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[0], AdaptivePages: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-8s %14.4f %14.4f %14.4f %9d\n", mem.MustClock(mhz),
-			worst.Seconds(), best.s, adaptive.Seconds(), adaptive.Resizes)
-	}
-	return b.String(), nil
-}
-
-func runPerBench(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	sizes = defSizes(sizes)
-	var b strings.Builder
-	b.WriteString("Per-program optimal RAMpage page size at 1GHz (§6.3: \"variation can\n")
-	b.WriteString("make a difference in individual programs\"). Times in simulated ms.\n")
-	fmt.Fprintf(&b, "%-12s", "program")
-	for _, s := range sizes {
-		fmt.Fprintf(&b, " %8s", mem.FormatSize(s))
-	}
-	fmt.Fprintf(&b, " %8s\n", "best")
-	for _, p := range synth.Table2() {
-		pcfg := cfg
-		pcfg.ProfileName = p.Name
-		fmt.Fprintf(&b, "%-12s", p.Name)
-		bestIdx, bestMS := 0, 0.0
+	cells = append(cells, phasedRun(RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[0], AdaptivePages: true}))
+	return plan{cells, func(reports []*stats.Report) string {
+		var b strings.Builder
+		b.WriteString("Adaptive page sizing on a *phased* workload (input/compute/output\n")
+		b.WriteString("phases per program) — the situation §6.2's dynamic tuning targets.\n")
+		fmt.Fprintf(&b, "%-14s %12s\n", "config", "seconds")
+		var best float64
 		for j, size := range sizes {
-			rep, err := Run(ctx, pcfg, RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: size})
-			if err != nil {
-				return "", err
+			rep := reports[j]
+			if best == 0 || rep.Seconds() < best {
+				best = rep.Seconds()
 			}
-			ms := rep.Seconds() * 1000
-			fmt.Fprintf(&b, " %8.2f", ms)
-			if j == 0 || ms < bestMS {
-				bestIdx, bestMS = j, ms
-			}
+			fmt.Fprintf(&b, "fixed %-8s %12.4f\n", mem.FormatSize(size), rep.Seconds())
 		}
-		fmt.Fprintf(&b, " %8s\n", mem.FormatSize(sizes[bestIdx]))
+		adaptive := reports[len(sizes)]
+		fmt.Fprintf(&b, "%-14s %12.4f  (%d resizes; best fixed %.4f)\n",
+			"adaptive", adaptive.Seconds(), adaptive.Resizes, best)
+		return b.String()
+	}}
+}
+
+func banked(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"Flat 50ns-per-reference Rambus vs the banked open-row RDRAM model\n"+
+			"(§6.3). Row-buffer hits start in 20ns instead of 50ns, so workloads\n"+
+			"with DRAM-page locality gain; transfers spanning rows pay per row.\n", "size", 12,
+		column{"base-flat", RunSpec{System: BaselineDM}},
+		column{"base-banked", RunSpec{System: BaselineDM, BankedDRAM: true}},
+		column{"rp-flat", RunSpec{System: RAMpage}},
+		column{"rp-banked", RunSpec{System: RAMpage, BankedDRAM: true}})
+}
+
+func channels(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"RAMpage run time (s) with the DRAM striped across Rambus channels\n"+
+			"(§3.3: more channels raise bandwidth but not latency, so big pages\n"+
+			"benefit most and the 50ns startup bounds the gain at small pages).\n", "page", 10,
+		column{"x1", RunSpec{System: RAMpage, DRAMChannels: 1}},
+		column{"x2", RunSpec{System: RAMpage, DRAMChannels: 2}},
+		column{"x4", RunSpec{System: RAMpage, DRAMChannels: 4}})
+}
+
+func prefetch(rates, sizes []uint64) plan {
+	return atTopRate(rates, sizes, []RunSpec{
+		{System: RAMpage},
+		{System: RAMpage, PrefetchNext: true},
+	}, func(rows [][]*stats.Report) string {
+		var b strings.Builder
+		b.WriteString("RAMpage run time (s) with sequential next-page prefetch (§3.2:\n")
+		b.WriteString("\"Prefetch could be added to RAMpage\"). Hits/issued shows accuracy.\n")
+		fmt.Fprintf(&b, "%-10s %12s %12s %10s %14s\n", "page", "demand", "prefetch", "speedup", "hits/issued")
+		for j, size := range sizes {
+			plain, pf := rows[j][0], rows[j][1]
+			ratio := "-"
+			if pf.Prefetches > 0 {
+				ratio = fmt.Sprintf("%d/%d", pf.PrefetchHits, pf.Prefetches)
+			}
+			fmt.Fprintf(&b, "%-10s %12.4f %12.4f %10.3f %14s\n", mem.FormatSize(size),
+				plain.Seconds(), pf.Seconds(), float64(plain.Cycles)/float64(pf.Cycles), ratio)
+		}
+		return b.String()
+	})
+}
+
+func sdram(rates, sizes []uint64) plan {
+	return secondsTable(rates, sizes,
+		"RAMpage run time (s): Direct Rambus vs the same-peak SDRAM (§3.3).\n"+
+			"With equal startup latency and peak bandwidth the two hierarchies are\n"+
+			"cycle-identical on width-multiple transfers, demonstrating the paper's\n"+
+			"claim that its Rambus model matches an SDRAM implementation.\n", "page", 12,
+		column{"rambus", RunSpec{System: RAMpage}},
+		column{"sdram", RunSpec{System: RAMpage, SDRAM: true}})
+}
+
+func threads(rates, sizes []uint64) plan {
+	return atTopRate(rates, sizes, []RunSpec{
+		{System: RAMpageCS, SwitchTrace: true},
+		{System: RAMpageCS, SwitchTrace: true, LightweightThreads: true},
+	}, func(rows [][]*stats.Report) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "RAMpage with switches on misses: full process switch (~%d refs) vs\n",
+			synth.ContextSwitchRefCount())
+		fmt.Fprintf(&b, "lightweight thread switch (~%d refs) on miss-induced switches (§3.2).\n",
+			synth.ThreadSwitchRefCount())
+		fmt.Fprintf(&b, "%-10s %12s %12s %10s\n", "page", "process", "thread", "speedup")
+		for j, size := range sizes {
+			proc, thr := rows[j][0], rows[j][1]
+			fmt.Fprintf(&b, "%-10s %12.4f %12.4f %10.3f\n", mem.FormatSize(size),
+				proc.Seconds(), thr.Seconds(), float64(proc.Cycles)/float64(thr.Cycles))
+		}
+		return b.String()
+	})
+}
+
+// adaptive compares, at every issue rate, the fixed page sizes against
+// the §6.2 controller starting from the smallest; the smallest fixed
+// size's cell doubles as the "fixed-128B" column.
+func adaptive(rates, sizes []uint64) plan {
+	cells := make([]cell, 0, len(rates)*(len(sizes)+1))
+	for _, mhz := range rates {
+		for _, size := range sizes {
+			cells = append(cells, cell{spec: RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: size}})
+		}
+		cells = append(cells, cell{spec: RunSpec{System: RAMpage, IssueMHz: mhz, SizeBytes: sizes[0], AdaptivePages: true}})
 	}
-	return b.String(), nil
+	return plan{cells, func(reports []*stats.Report) string {
+		var b strings.Builder
+		b.WriteString("Dynamic SRAM page sizing (§6.2): a hill-climbing controller\n")
+		b.WriteString("starts at the smallest paper page size and retunes on epoch cost,\n")
+		b.WriteString("paying a full SRAM flush for every probe.\n")
+		fmt.Fprintf(&b, "%-8s %14s %14s %14s %9s\n", "issue", "fixed-128B", "fixed-best", "adaptive", "resizes")
+		for i, row := range chunk(reports, len(sizes)+1) {
+			fixed, adaptive := row[:len(sizes)], row[len(sizes)]
+			best := fixed[0].Seconds()
+			for _, r := range fixed[1:] {
+				best = min(best, r.Seconds())
+			}
+			fmt.Fprintf(&b, "%-8s %14.4f %14.4f %14.4f %9d\n", mem.MustClock(rates[i]),
+				fixed[0].Seconds(), best, adaptive.Seconds(), adaptive.Resizes)
+		}
+		return b.String()
+	}}
+}
+
+func perBench(_, sizes []uint64) plan {
+	profiles := synth.Table2()
+	cells := make([]cell, 0, len(profiles)*len(sizes))
+	for _, p := range profiles {
+		for _, size := range sizes {
+			cells = append(cells, cell{spec: RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: size}, wl: workload{profile: p.Name}})
+		}
+	}
+	return plan{cells, func(reports []*stats.Report) string {
+		var b strings.Builder
+		b.WriteString("Per-program optimal RAMpage page size at 1GHz (§6.3: \"variation can\n")
+		b.WriteString("make a difference in individual programs\"). Times in simulated ms.\n")
+		fmt.Fprintf(&b, "%-12s", "program")
+		for _, s := range sizes {
+			fmt.Fprintf(&b, " %8s", mem.FormatSize(s))
+		}
+		fmt.Fprintf(&b, " %8s\n", "best")
+		for i, row := range chunk(reports, len(sizes)) {
+			fmt.Fprintf(&b, "%-12s", profiles[i].Name)
+			bestIdx, bestMS := 0, 0.0
+			for j, rep := range row {
+				ms := rep.Seconds() * 1000
+				fmt.Fprintf(&b, " %8.2f", ms)
+				if j == 0 || ms < bestMS {
+					bestIdx, bestMS = j, ms
+				}
+			}
+			fmt.Fprintf(&b, " %8s\n", mem.FormatSize(sizes[bestIdx]))
+		}
+		return b.String()
+	}}
 }

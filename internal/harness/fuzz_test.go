@@ -58,7 +58,7 @@ func FuzzConfigHash(f *testing.F) {
 		knobs := cfg
 		knobs.Workers = 7
 		knobs.Verify = true
-		knobs.CellDone = func() {}
+		knobs.CellResult = func(int, ReportJSON) {}
 		if RunKey(knobs, spec) != key {
 			t.Error("execution knobs changed the cache key")
 		}

@@ -55,9 +55,9 @@ func TestRunKeyIgnoresExecutionKnobs(t *testing.T) {
 	cfg := QuickScaled()
 	base := RunKey(cfg, validSpec())
 	for name, mutate := range map[string]func(*Config){
-		"workers":   func(c *Config) { c.Workers = 7 },
-		"cell done": func(c *Config) { c.CellDone = func() {} },
-		"verify":    func(c *Config) { c.Verify = true },
+		"workers":     func(c *Config) { c.Workers = 7 },
+		"cell result": func(c *Config) { c.CellResult = func(int, ReportJSON) {} },
+		"verify":      func(c *Config) { c.Verify = true },
 	} {
 		c := cfg
 		mutate(&c)

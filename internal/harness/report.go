@@ -134,8 +134,8 @@ type SystemGrid struct {
 
 // ExperimentDoc is the JSON document for one experiment's sweep grids
 // (rampage-bench -format json). Only the sweep-structured experiments
-// (Tables 3–5, Figures 2–4) have a JSON form; the prose-style artifacts
-// keep their text renderings.
+// (JSONForms: Tables 3–5, Figures 2–4 and the policy lab) have a JSON
+// form; the prose-style artifacts keep their text renderings.
 type ExperimentDoc struct {
 	Version    int          `json:"version"`
 	Kind       string       `json:"kind"` // "experiment"
@@ -144,32 +144,6 @@ type ExperimentDoc struct {
 	RatesMHz   []uint64     `json:"rates_mhz"`
 	SizesBytes []uint64     `json:"sizes_bytes"`
 	Systems    []SystemGrid `json:"systems"`
-}
-
-// jsonExperiments maps the experiments with a JSON form to their sweep
-// structure: which systems run, whether the switch trace is inserted,
-// any fixed issue rate (0 = the full rate sweep), and the per-system
-// replacement policy (nil = clock throughout).
-var jsonExperiments = map[string]struct {
-	systems     []SystemKind
-	switchTrace []bool
-	fixedMHz    uint64
-	policies    []string
-}{
-	"table3": {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 0, nil},
-	"table4": {[]SystemKind{RAMpageCS, RAMpage}, []bool{true, false}, 0, nil},
-	"table5": {[]SystemKind{TwoWayL2}, []bool{true}, 0, nil},
-	"fig2":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 200, nil},
-	"fig3":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 4000, nil},
-	"fig4":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 1000, nil},
-	// The policy lab: the RAMpage machine at the paper's 1 GHz midpoint
-	// under every replacement policy, swept across the page sizes.
-	"policies": {
-		[]SystemKind{RAMpage, RAMpage, RAMpage, RAMpage, RAMpage},
-		[]bool{false, false, false, false, false},
-		1000,
-		[]string{policy.Clock, policy.FIFO, policy.Random, policy.AWRP, policy.Bandwidth},
-	},
 }
 
 // systemLabel names one sweep grid: the system, suffixed with the
@@ -184,8 +158,19 @@ func systemLabel(system SystemKind, pol string) string {
 // HasJSONForm reports whether BuildExperimentDoc supports the
 // experiment.
 func HasJSONForm(id string) bool {
-	_, ok := jsonExperiments[id]
-	return ok
+	e, ok := FindExperiment(id)
+	return ok && e.grid != nil
+}
+
+// JSONForms lists the experiments with a JSON form, in registry order.
+func JSONForms() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		if e.grid != nil {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
 }
 
 // normalizeExperimentGrid applies the experiment's sweep shape to a
@@ -193,32 +178,17 @@ func HasJSONForm(id string) bool {
 // experiments' fixed issue rate. Unknown experiments pass through with
 // only the defaults applied.
 func normalizeExperimentGrid(id string, rates, sizes []uint64) ([]uint64, []uint64) {
-	if shape, ok := jsonExperiments[id]; ok && shape.fixedMHz != 0 {
-		rates = []uint64{shape.fixedMHz}
-	} else {
-		rates = defRates(rates)
+	if sh, err := ShapeOf(id, rates, sizes); err == nil {
+		return sh.RatesMHz, sh.SizesBytes
 	}
-	return rates, defSizes(sizes)
-}
-
-// ExperimentCells returns the total number of simulation grid cells
-// BuildExperimentDoc will run for the experiment (systems × rates ×
-// sizes), for job-progress accounting. ok is false when the experiment
-// has no JSON form.
-func ExperimentCells(id string, rates, sizes []uint64) (int, bool) {
-	shape, ok := jsonExperiments[id]
-	if !ok {
-		return 0, false
-	}
-	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
-	return len(shape.systems) * len(rates) * len(sizes), true
+	return defRates(rates), defSizes(sizes)
 }
 
 // ExperimentShape is the resolved sweep structure of a JSON-form
 // experiment: the normalized grid plus the systems it crosses. It is
 // the unit a fleet coordinator shards — CellSpecs enumerates the
-// simulation points and Doc reassembles their reports into the exact
-// document BuildExperimentDoc would have produced.
+// simulation points and Doc assembles their reports into the
+// experiment document, wherever the cells ran.
 type ExperimentShape struct {
 	ID         string
 	Title      string
@@ -235,30 +205,29 @@ type ExperimentShape struct {
 // (empty slices select the paper defaults; the figure experiments pin
 // their own issue rate). Experiments without a JSON form error.
 func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
-	shape, ok := jsonExperiments[id]
-	if !ok {
+	e, ok := FindExperiment(id)
+	if !ok || e.grid == nil {
 		return ExperimentShape{}, fmt.Errorf("harness: experiment %q has no JSON form", id)
 	}
-	exp, ok := FindExperiment(id)
-	if !ok {
-		return ExperimentShape{}, fmt.Errorf("harness: unknown experiment %q", id)
+	return e.grid.resolve(e.ID, e.Title, rates, sizes), nil
+}
+
+// resolve completes a registry sweep template (systems plus any pinned
+// issue rate) into the experiment's shape under a requested grid.
+func (sh ExperimentShape) resolve(id, title string, rates, sizes []uint64) ExperimentShape {
+	if sh.RatesMHz != nil {
+		rates = sh.RatesMHz
 	}
-	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
-	policies := make([]string, len(shape.systems))
+	policies := make([]string, len(sh.Systems))
 	for i := range policies {
-		if shape.policies != nil {
-			policies[i] = policy.Normalize(shape.policies[i])
+		if sh.Policies != nil {
+			policies[i] = policy.Normalize(sh.Policies[i])
 		}
 	}
-	return ExperimentShape{
-		ID:          id,
-		Title:       exp.Title,
-		RatesMHz:    rates,
-		SizesBytes:  sizes,
-		Systems:     shape.systems,
-		SwitchTrace: shape.switchTrace,
-		Policies:    policies,
-	}, nil
+	sh.ID, sh.Title = id, title
+	sh.RatesMHz, sh.SizesBytes = defRates(rates), defSizes(sizes)
+	sh.Policies = policies
+	return sh
 }
 
 // CellSpecs enumerates every simulation point of the experiment in the
@@ -282,10 +251,16 @@ func (sh ExperimentShape) CellSpecs() []RunSpec {
 	return specs
 }
 
+// grids splits reports aligned with CellSpecs into one [rate][size]
+// grid per system.
+func (sh ExperimentShape) grids(reports []*stats.Report) [][][]*stats.Report {
+	return chunk(chunk(reports, len(sh.SizesBytes)), len(sh.RatesMHz))
+}
+
 // Doc assembles the experiment document from per-cell reports aligned
-// with CellSpecs order. The result is byte-identical (under WriteJSON)
-// to BuildExperimentDoc running the sweeps itself — that equivalence
-// is what lets a fleet scatter the cells and still serve goldens.
+// with CellSpecs order. It is the only assembler: BuildExperimentDoc
+// and the fleet coordinator both feed it, so a document is
+// byte-identical (under WriteJSON) wherever its cells ran.
 func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 	want := len(sh.Systems) * len(sh.RatesMHz) * len(sh.SizesBytes)
 	if len(reports) != want {
@@ -299,18 +274,9 @@ func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 		RatesMHz:   sh.RatesMHz,
 		SizesBytes: sh.SizesBytes,
 	}
-	k := 0
-	for i, system := range sh.Systems {
-		rows := make([][]ReportJSON, len(sh.RatesMHz))
-		for r := range sh.RatesMHz {
-			rows[r] = make([]ReportJSON, len(sh.SizesBytes))
-			for c := range sh.SizesBytes {
-				rows[r][c] = reports[k]
-				k++
-			}
-		}
+	for i, rows := range chunk(chunk(reports, len(sh.SizesBytes)), len(sh.RatesMHz)) {
 		doc.Systems = append(doc.Systems, SystemGrid{
-			System:      systemLabel(system, sh.Policies[i]),
+			System:      systemLabel(sh.Systems[i], sh.Policies[i]),
 			SwitchTrace: sh.SwitchTrace[i],
 			Rows:        rows,
 		})
@@ -318,51 +284,24 @@ func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 	return doc, nil
 }
 
-// BuildExperimentDoc runs an experiment's sweeps and returns the
-// versioned JSON document. It supports the sweep-structured experiments
-// (table3, table4, table5, fig2, fig3, fig4); others return an error.
-// Cancelling ctx aborts the underlying sweeps and returns ctx.Err().
+// BuildExperimentDoc runs a JSON-form experiment's cells and returns
+// its versioned document; other experiments return an error.
+// cfg.CellResult hears each cell by its CellSpecs index. Cancelling ctx
+// aborts the run and returns ctx.Err().
 func BuildExperimentDoc(ctx context.Context, cfg Config, id string, rates, sizes []uint64) (ExperimentDoc, error) {
 	sh, err := ShapeOf(id, rates, sizes)
 	if err != nil {
 		return ExperimentDoc{}, err
 	}
-	doc := ExperimentDoc{
-		Version:    ReportVersion,
-		Kind:       "experiment",
-		ID:         sh.ID,
-		Title:      sh.Title,
-		RatesMHz:   sh.RatesMHz,
-		SizesBytes: sh.SizesBytes,
+	reports, err := runCells(ctx, cfg, specCells(sh.CellSpecs()))
+	if err != nil {
+		return ExperimentDoc{}, err
 	}
-	for i, system := range sh.Systems {
-		st := sh.SwitchTrace[i]
-		base := RunSpec{System: system, SwitchTrace: st, Policy: sh.Policies[i]}
-		scfg := cfg
-		if outer := cfg.CellResult; outer != nil {
-			// Re-base each sweep's rate-major cell indices onto the
-			// document's canonical CellSpecs order (systems outermost).
-			offset := i * len(sh.RatesMHz) * len(sh.SizesBytes)
-			scfg.CellResult = func(k int, rep ReportJSON) { outer(offset+k, rep) }
-		}
-		grid, err := SweepSpec(ctx, scfg, base, sh.RatesMHz, sh.SizesBytes)
-		if err != nil {
-			return ExperimentDoc{}, err
-		}
-		rows := make([][]ReportJSON, len(grid))
-		for r, row := range grid {
-			rows[r] = make([]ReportJSON, len(row))
-			for c, rep := range row {
-				rows[r][c] = NewReportJSON(rep)
-			}
-		}
-		doc.Systems = append(doc.Systems, SystemGrid{
-			System:      systemLabel(system, sh.Policies[i]),
-			SwitchTrace: st,
-			Rows:        rows,
-		})
+	js := make([]ReportJSON, len(reports))
+	for i, rep := range reports {
+		js[i] = NewReportJSON(rep)
 	}
-	return doc, nil
+	return sh.Doc(js)
 }
 
 // WriteJSON encodes a document with stable indentation and a trailing

@@ -160,8 +160,8 @@ func Run(ctx context.Context, cfg Config, spec RunSpec) (*stats.Report, error) {
 }
 
 // runWithReaders is Run with the workload streams supplied by the
-// caller — Sweep uses it to replay one materialized workload across
-// every grid cell instead of regenerating it per cell.
+// caller — runCells uses it to replay one materialized workload across
+// its cells instead of regenerating it per cell.
 func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []trace.Reader) (*stats.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -346,7 +346,7 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	return rep, nil
 }
 
-// preloadRefsCap bounds workload materialization in Sweep: streams
+// preloadRefsCap bounds workload materialization in runCells: streams
 // totalling more than this many references (9 bytes each in columnar
 // form) are regenerated per cell instead of being stored.
 const preloadRefsCap = 64 << 20
@@ -375,8 +375,8 @@ var (
 const workloadCacheCap = 8
 
 // preloadWorkload materializes the configuration's reference streams
-// in columnar form so a sweep can replay them across grid cells — and
-// later sweeps of the same workload can skip generation entirely. It
+// in columnar form so runCells can replay them across its cells — and
+// later runs of the same workload can skip generation entirely. It
 // returns nil when the workload is too large to hold (full-scale
 // runs), a stream's length is unknown, or a stream is not single-
 // process; callers then regenerate per cell as before.
@@ -421,70 +421,105 @@ func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
 	return out
 }
 
-// Sweep runs a grid of points — every issue rate crossed with every
-// size — for one system, returning reports indexed [rate][size]. Cells
-// are independent simulations, so they run in parallel across the
-// available CPUs; results are deterministic regardless of parallelism.
-// The workload is generated once and replayed in every cell (each cell
-// gets fresh SliceReaders over the shared, read-only backing slices),
-// since the streams are independent of the swept parameters.
-// Cancelling ctx abandons unstarted cells, stops in-flight ones at the
-// next batch boundary, and returns ctx.Err().
-func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) ([][]*stats.Report, error) {
-	return SweepSpec(ctx, cfg, RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
+// cell is one simulation point of an experiment: a spec and the
+// workload it runs on.
+type cell struct {
+	spec RunSpec
+	wl   workload
 }
 
-// SweepSpec is Sweep over an arbitrary base spec: every grid cell
-// copies base with its issue rate and size substituted, so extra spec
-// dimensions — replacement policy, DRAM model, prefetch — sweep along
-// without widening Sweep's signature for each.
-func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uint64) ([][]*stats.Report, error) {
+// workload names the reference streams a cell runs on when they are
+// not the configuration's own: one Table 2 program (perbench) or the
+// phased profile set (phased). The zero value is the configured
+// workload.
+type workload struct {
+	profile string
+	phased  bool
+}
+
+// config returns cfg with the workload substituted.
+func (w workload) config(cfg Config) Config {
+	if w.profile != "" {
+		cfg.ProfileName = w.profile
+	}
+	if w.phased {
+		cfg.profiles = PhasedTable2()
+	}
+	return cfg
+}
+
+// specCells wraps specs as cells on the configured workload.
+func specCells(specs []RunSpec) []cell {
+	cells := make([]cell, len(specs))
+	for i, spec := range specs {
+		cells[i] = cell{spec: spec}
+	}
+	return cells
+}
+
+// gridCells returns base at every issue rate crossed with every size,
+// rate-major.
+func gridCells(base RunSpec, rates, sizes []uint64) []cell {
+	cells := make([]cell, 0, len(rates)*len(sizes))
+	for _, rate := range rates {
+		for _, size := range sizes {
+			spec := base
+			spec.IssueMHz, spec.SizeBytes = rate, size
+			cells = append(cells, cell{spec: spec})
+		}
+	}
+	return cells
+}
+
+// chunk splits s into consecutive runs of n > 0 elements.
+func chunk[T any](s []T, n int) [][]T {
+	out := make([][]T, len(s)/n)
+	for i := range out {
+		out[i] = s[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
+}
+
+// runCells is the one place experiment cells are simulated; it returns
+// their reports in cell order. Each distinct workload is captured once
+// and replayed in every cell that runs on it (fresh readers over the
+// shared, read-only columns), cells dispatch warmest-first per
+// PlanCells, up to cfg.Workers cells run at once, and cfg.CellResult
+// hears each finished cell by its index in cells. Results are
+// deterministic regardless of parallelism. Cancelling ctx abandons
+// unstarted cells, stops in-flight ones at the next batch boundary, and
+// returns ctx.Err().
+func runCells(ctx context.Context, cfg Config, cells []cell) ([]*stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cellDone := cfg.CellDone
 	cellResult := cfg.CellResult
 	cfg.Observer = nil // collectors are not safe across parallel cells
-	out := make([][]*stats.Report, len(rates))
-	for i := range rates {
-		out[i] = make([]*stats.Report, len(sizes))
+	type captured struct {
+		cfg  Config
+		bufs []*trace.ColumnarBuffer // nil: regenerate per cell
 	}
-	preloaded := preloadWorkload(cfg)
-	cellRun := func(spec RunSpec) (*stats.Report, error) {
-		if preloaded == nil {
-			return Run(ctx, cfg, spec)
+	workloads := make(map[workload]captured)
+	for _, c := range cells {
+		if _, ok := workloads[c.wl]; !ok {
+			wcfg := c.wl.config(cfg)
+			workloads[c.wl] = captured{wcfg, preloadWorkload(wcfg)}
 		}
-		readers := make([]trace.Reader, len(preloaded))
-		for i, buf := range preloaded {
+	}
+	runCell := func(c cell) (*stats.Report, error) {
+		w := workloads[c.wl]
+		if w.bufs == nil {
+			return Run(ctx, w.cfg, c.spec)
+		}
+		readers := make([]trace.Reader, len(w.bufs))
+		for i, buf := range w.bufs {
 			readers[i] = trace.NewColumnarReader(buf)
 		}
-		return runWithReaders(ctx, cfg, spec, readers)
+		return runWithReaders(ctx, w.cfg, c.spec, readers)
 	}
-	type cell struct{ i, j int }
-	// Dispatch order: grid order when cold; warmest-first per the
-	// checkpoint planner when a store is attached, so complete restores
-	// return immediately and workers spend the sweep on the cold cells.
-	order := make([]cell, 0, len(rates)*len(sizes))
-	if cfg.Checkpoints != nil {
-		rateIdx := make(map[uint64]int, len(rates))
-		for i, r := range rates {
-			rateIdx[r] = i
-		}
-		sizeIdx := make(map[uint64]int, len(sizes))
-		for j, s := range sizes {
-			sizeIdx[s] = j
-		}
-		for _, pc := range PlanSweepSpec(cfg, base, rates, sizes).Cells {
-			order = append(order, cell{rateIdx[pc.Spec.IssueMHz], sizeIdx[pc.Spec.SizeBytes]})
-		}
-	} else {
-		for i := range rates {
-			for j := range sizes {
-				order = append(order, cell{i, j})
-			}
-		}
-	}
-	cells := make(chan cell)
+
+	out := make([]*stats.Report, len(cells))
+	next := make(chan int)
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
@@ -495,14 +530,12 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if n := len(rates) * len(sizes); n < workers {
-		workers = n
-	}
+	workers = min(workers, len(cells))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range cells {
+			for i := range next {
 				if failed.Load() {
 					continue // drain remaining cells after a failure
 				}
@@ -511,32 +544,51 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 					failed.Store(true)
 					continue
 				}
-				spec := base
-				spec.IssueMHz = rates[c.i]
-				spec.SizeBytes = sizes[c.j]
-				rep, err := cellRun(spec)
+				rep, err := runCell(cells[i])
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					continue
 				}
-				out[c.i][c.j] = rep
+				out[i] = rep
 				if cellResult != nil {
-					cellResult(c.i*len(sizes)+c.j, NewReportJSON(rep))
-				}
-				if cellDone != nil {
-					cellDone()
+					cellResult(i, NewReportJSON(rep))
 				}
 			}
 		}()
 	}
-	for _, c := range order {
-		cells <- c
+	for _, pc := range planCells(cfg, cells).Cells {
+		next <- pc.Index
 	}
-	close(cells)
+	close(next)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	return out, nil
+}
+
+// Sweep runs a grid of points — every issue rate crossed with every
+// size — for one system, returning reports indexed [rate][size]. The
+// cells run through the experiment cell runner: in parallel, on one
+// captured workload, with deterministic results.
+func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) ([][]*stats.Report, error) {
+	return SweepSpec(ctx, cfg, RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
+}
+
+// SweepSpec is Sweep over an arbitrary base spec: every grid cell
+// copies base with its issue rate and size substituted, so extra spec
+// dimensions — replacement policy, DRAM model, prefetch — sweep along
+// without widening Sweep's signature for each. cfg.CellResult numbers
+// cells rate-major (i*len(sizes)+j).
+func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uint64) ([][]*stats.Report, error) {
+	reps, err := runCells(ctx, cfg, gridCells(base, rates, sizes))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*stats.Report, len(rates))
+	for i := range out {
+		out[i] = reps[i*len(sizes) : (i+1)*len(sizes)]
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -18,32 +17,31 @@ type claim struct {
 	detail string
 }
 
-// runVerdict reruns the core sweeps at the configured scale and checks
-// the paper's claims one by one, printing PASS/FAIL per claim. It is
-// the repository's self-test of the reproduction (EXPERIMENTS.md is
-// the prose version).
-func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
+// paperClaims simulates the core sweeps at the configured scale and
+// checks the paper's claims one by one, printing PASS/FAIL per claim.
+// It is the repository's self-test of the reproduction (EXPERIMENTS.md
+// is the prose version).
+func paperClaims(rates, sizes []uint64) plan {
 	lo, hi := rates[0], rates[len(rates)-1]
 	sweepRates := []uint64{lo, hi}
+	var cells []cell
+	for _, base := range []RunSpec{
+		{System: BaselineDM},
+		{System: RAMpage},
+		{System: RAMpageCS, SwitchTrace: true},
+		{System: TwoWayL2, SwitchTrace: true},
+	} {
+		cells = append(cells, gridCells(base, sweepRates, sizes)...)
+	}
+	return plan{cells, func(reports []*stats.Report) string {
+		g := chunk(chunk(reports, len(sizes)), len(sweepRates))
+		return renderClaims(sizes, g[0], g[1], g[2], g[3])
+	}}
+}
 
-	base, err := Sweep(ctx, cfg, BaselineDM, sweepRates, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	rp, err := Sweep(ctx, cfg, RAMpage, sweepRates, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	cs, err := Sweep(ctx, cfg, RAMpageCS, sweepRates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-	tw, err := Sweep(ctx, cfg, TwoWayL2, sweepRates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-
+// renderClaims checks the claims against the baseline, RAMpage,
+// RAMpage-CS and 2-way grids, each indexed [slow, fast][size].
+func renderClaims(sizes []uint64, base, rp, cs, tw [][]*stats.Report) string {
 	var claims []claim
 	add := func(id, text string, pass bool, detail string) {
 		claims = append(claims, claim{id, text, pass, detail})
@@ -141,5 +139,5 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 			strings.Repeat(" ", 24), c.detail)
 	}
 	fmt.Fprintf(&b, "\n%d/%d claims reproduced.\n", passed, len(claims))
-	return b.String(), nil
+	return b.String()
 }

@@ -124,24 +124,23 @@ func TestShapeDocValidates(t *testing.T) {
 	}
 }
 
-// TestPlanCellsMatchesPlanSweep pins that the batch-order API the
-// fleet workers use is the same policy as the grid planner.
-func TestPlanCellsMatchesPlanSweep(t *testing.T) {
+// TestPlanCellsPerCellWorkload pins that a cell naming its own
+// workload is planned under that workload's checkpoint prefix, so the
+// runner looks up the warm state the cell will actually restore.
+func TestPlanCellsPerCellWorkload(t *testing.T) {
 	cfg := QuickScaled()
 	cfg.RefScale = 1.0 / 10000
-	rates, sizes := []uint64{200, 400}, []uint64{1 << 12, 1 << 13}
-	grid := PlanSweep(cfg, RAMpage, rates, sizes, false)
-	specs := make([]RunSpec, len(grid.Cells))
-	for i, pc := range grid.Cells {
-		specs[i] = pc.Spec
-	}
-	batch := PlanCells(cfg, specs)
-	if len(batch.Cells) != len(grid.Cells) {
-		t.Fatalf("%d vs %d cells", len(batch.Cells), len(grid.Cells))
-	}
-	for i := range batch.Cells {
-		if batch.Cells[i].Spec != grid.Cells[i].Spec {
-			t.Errorf("cell %d: %+v vs %+v", i, batch.Cells[i].Spec, grid.Cells[i].Spec)
+	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 1 << 12}
+	single := cfg
+	single.ProfileName = "sed"
+	plan := planCells(cfg, []cell{{spec: spec}, {spec: spec, wl: workload{profile: "sed"}}, {spec: spec, wl: workload{phased: true}}})
+	want := []string{CheckpointPrefixKey(cfg, spec), CheckpointPrefixKey(single, spec), ""}
+	for i, pc := range plan.Cells {
+		if pc.Index != i || pc.Prefix != want[i] {
+			t.Errorf("cell %d: index %d prefix %q, want index %d prefix %q", i, pc.Index, pc.Prefix, i, want[i])
 		}
+	}
+	if want[0] == want[1] {
+		t.Error("single-program cell shares the full workload's prefix")
 	}
 }

@@ -290,14 +290,13 @@ func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 			return jobs.Request{}, errorf(http.StatusNotFound, "unknown experiment %q", req.ID)
 		}
 		return jobs.Request{}, errorf(http.StatusBadRequest,
-			"experiment %q has no JSON form (the service serves tables 3-5 and figs 2-4)", req.ID)
+			"experiment %q has no JSON form (the service serves %s)", req.ID, strings.Join(harness.JSONForms(), ", "))
 	}
 	cfg, err := s.configFor(req.Scale, req.Seed)
 	if err != nil {
 		return jobs.Request{}, errorf(http.StatusBadRequest, "%v", err)
 	}
 	cfg.Checkpoints = s.ckpts
-	cells, _ := harness.ExperimentCells(req.ID, req.RatesMHz, req.SizesBytes)
 	id, rates, sizes := req.ID, req.RatesMHz, req.SizesBytes
 	sh, err := harness.ShapeOf(id, rates, sizes)
 	if err != nil {
@@ -307,7 +306,7 @@ func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 	return jobs.Request{
 		Key:   harness.ExperimentKey(cfg, id, rates, sizes),
 		Label: "experiment:" + id,
-		Cells: cells,
+		Cells: len(specs),
 		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
 			// Each completed cell is published to the job's event stream
 			// as a cell payload: its canonical index (CellSpecs order),
