@@ -192,30 +192,32 @@ func (c *Coordinator) Renew(req RenewRequest) error {
 // already-finished cells are accepted idempotently (persisted to the
 // disk store when one is attached): after a coordinator restart a
 // worker may legitimately stream back cells the new coordinator never
-// leased. Unknown workers get ErrUnknownWorker so they re-register,
-// but their result is still kept.
+// leased. An unregistered sender is refused with ErrUnknownWorker
+// before anything is stored or resolved; a real worker re-registers
+// and resends, so no result is lost.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	c.mu.Lock()
 	w, known := c.workers[req.WorkerID]
-	if known {
-		w.lastSeen = time.Now()
-		delete(w.inflight, req.Key)
+	if !known {
+		c.mu.Unlock()
+		return ErrUnknownWorker
 	}
-	t, active := c.tasks[req.Key]
+	w.lastSeen = time.Now()
+	delete(w.inflight, req.Key)
+	c.mu.Unlock()
+	// The store write runs outside the lock but before the task
+	// resolves, so whoever the result wakes also finds it on disk.
 	if req.Error == "" && len(req.Report) > 0 {
 		c.cfg.Disk.Put(req.Key, req.Report)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, active := c.tasks[req.Key]
 	if !active {
-		c.mu.Unlock()
-		if !known {
-			return ErrUnknownWorker
-		}
 		return nil
 	}
 	if req.Error != "" {
-		if known {
-			w.cellsFailed++
-		}
+		w.cellsFailed++
 		if t.attempts >= c.cfg.MaxAttempts {
 			c.cfg.Stats.Add(metrics.SvcFleetFailed, 1)
 			c.finishLocked(t, nil, fmt.Errorf("fleet: cell %s (%s @ %d MHz / %d B) failed after %d attempts: %s",
@@ -223,21 +225,11 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		} else {
 			c.requeueLocked(t)
 		}
-		c.mu.Unlock()
-		if !known {
-			return ErrUnknownWorker
-		}
 		return nil
 	}
-	if known {
-		w.cellsDone++
-	}
+	w.cellsDone++
 	c.cfg.Stats.Add(metrics.SvcFleetCompleted, 1)
 	c.finishLocked(t, req.Report, nil)
-	c.mu.Unlock()
-	if !known {
-		return ErrUnknownWorker
-	}
 	return nil
 }
 

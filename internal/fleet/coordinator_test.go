@@ -211,6 +211,44 @@ func TestCoordinatorIdempotentComplete(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesForgedComplete pins that a completion from an
+// unregistered sender has no side effect: the leased cell stays
+// pending, the disk store gains no record, and the leaseholder's own
+// completion still resolves the cell.
+func TestCoordinatorRefusesForgedComplete(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := testCoordinator(t, func(cfg *CoordinatorConfig) { cfg.Disk = disk })
+	w := register(t, c, "w")
+	resCh, errCh := execAsync(c, fakeCells(1))
+	cell := leaseAll(t, c, w, 1)[0]
+
+	forged := CompleteRequest{WorkerID: "forger", Key: cell.Key, Report: []byte("poison")}
+	if err := c.Complete(forged); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("forged complete = %v, want ErrUnknownWorker", err)
+	}
+	if data, ok := disk.Get(cell.Key); ok {
+		t.Errorf("forged result reached the disk store: %q", data)
+	}
+	select {
+	case res := <-resCh:
+		t.Fatalf("forged complete resolved the cell: %q", res)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	if err := c.Complete(CompleteRequest{WorkerID: w, Key: cell.Key, Report: []byte("r")}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := <-resCh, <-errCh; err != nil || string(res[0]) != "r" {
+		t.Fatalf("Execute = %q, %v", res, err)
+	}
+	if data, ok := disk.Get(cell.Key); !ok || string(data) != "r" {
+		t.Errorf("leaseholder's result not persisted: %q, %v", data, ok)
+	}
+}
+
 // TestCoordinatorMaxAttempts pins the poison-cell bound: a cell whose
 // execution keeps failing is retried MaxAttempts times, then the
 // waiting job gets the error instead of spinning forever.
