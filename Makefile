@@ -2,8 +2,8 @@
 
 GO ?= go
 
-# Experiments with a JSON form (tables 3-5, figs 2-4) are mirrored
-# under testdata/golden/, one <id>.json each.
+# Experiments with a JSON form (tables 3-5, figs 2-4 and the policy
+# lab) are mirrored under testdata/golden/, one <id>.json each.
 GOLDEN_DIR := testdata/golden
 
 .PHONY: all build test vet perfbench-test race fleet-test verify verify-long bench bench-hot bench-snapshot bench-check bench-checkpoint profile golden regress clean
