@@ -53,14 +53,17 @@ type Config struct {
 	// MaxRefs caps application references per run (0 = run traces to
 	// completion).
 	MaxRefs uint64
-	// Workers bounds Sweep's simulation parallelism (0 = one worker per
-	// CPU). Results are deterministic regardless of the setting.
+	// Workers bounds how many cells the experiment cell runner (Sweep,
+	// BuildExperimentDoc, every experiment's Run) simulates at once
+	// (0 = one per CPU). Results are deterministic regardless of the
+	// setting.
 	Workers int
 	// Observer, when non-nil, is attached to the machine and the
 	// scheduler for the run: it receives event probes and periodic Tick
 	// calls but never influences the simulation (reports stay
 	// bit-identical). A metrics.Collector is not safe for concurrent
-	// use, so Sweep ignores this field — observers are per-run only.
+	// use, so the cell runner ignores this field — observers are per-run
+	// only.
 	Observer metrics.Observer
 	// CellResult, when non-nil, receives each completed cell's report as
 	// the cell runner produces it, tagged with the cell's index in the

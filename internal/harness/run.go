@@ -375,12 +375,13 @@ var (
 const workloadCacheCap = 8
 
 // preloadWorkload materializes the configuration's reference streams
-// in columnar form so runCells can replay them across its cells — and
-// later runs of the same workload can skip generation entirely. It
-// returns nil when the workload is too large to hold (full-scale
-// runs), a stream's length is unknown, or a stream is not single-
-// process; callers then regenerate per cell as before.
-func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
+// in columnar form so runCells can replay them across its cells. With
+// keep set the capture also enters the process-wide cache, so later
+// runs of the same workload skip generation entirely. It returns nil
+// when the workload is too large to hold (full-scale runs), a stream's
+// length is unknown, or a stream is not single-process; callers then
+// regenerate per cell as before.
+func preloadWorkload(cfg Config, keep bool) []*trace.ColumnarBuffer {
 	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale,
 		processes: cfg.Processes, profile: cfg.ProfileName}
 	cacheable := cfg.profiles == nil // custom profile sets are not in the key
@@ -413,7 +414,7 @@ func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
 		}
 		out[i] = buf
 	}
-	if cacheable && workloadCacheLen.Load() < workloadCacheCap {
+	if keep && cacheable && workloadCacheLen.Load() < workloadCacheCap {
 		if _, loaded := workloadCache.LoadOrStore(key, out); !loaded {
 			workloadCacheLen.Add(1)
 		}
@@ -499,11 +500,14 @@ func runCells(ctx context.Context, cfg Config, cells []cell) ([]*stats.Report, e
 		cfg  Config
 		bufs []*trace.ColumnarBuffer // nil: regenerate per cell
 	}
+	// Only the configuration's own workload is kept for later runs; a
+	// workload a cell names (perbench's programs, phased) serves this
+	// run alone and would otherwise pin its capture for the process.
 	workloads := make(map[workload]captured)
 	for _, c := range cells {
 		if _, ok := workloads[c.wl]; !ok {
 			wcfg := c.wl.config(cfg)
-			workloads[c.wl] = captured{wcfg, preloadWorkload(wcfg)}
+			workloads[c.wl] = captured{wcfg, preloadWorkload(wcfg, c.wl == workload{})}
 		}
 	}
 	runCell := func(c cell) (*stats.Report, error) {
